@@ -24,7 +24,7 @@
 use crate::access::{AccessRecorder, ReplayWorkload};
 use cxl_sim::addr::{VirtAddr, PAGE_SIZE};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const PAGE: u64 = PAGE_SIZE as u64;
 
@@ -62,27 +62,36 @@ impl CsrGraph {
     /// An R-MAT graph (Graph500 parameters a=0.57, b=0.19, c=0.19) with
     /// `1 << scale` vertices and ~`avg_degree` edges per vertex,
     /// symmetrized (undirected).
+    ///
+    /// Each level picks its quadrant without branching: it takes
+    /// `x = next_u64() >> 11` and compares `x` with the integer
+    /// thresholds `⌈c·2⁵³⌉` of the cumulative probabilities
+    /// c = 0.57, 0.76, 0.95. This is the same decision as comparing the
+    /// uniform float `r = gen::<f64>()` with `c`, bit for bit: `gen`
+    /// returns `r = x·2⁻⁵³`, which is exact (`x < 2⁵³` converts exactly
+    /// and scaling by a power of two is exact), and `c·2⁵³` is exact for
+    /// the same reason, so for an integer `x`,
+    /// `r < c ⇔ x < c·2⁵³ ⇔ x < ⌈c·2⁵³⌉`. Every seed therefore yields
+    /// the same random stream and the same graph as the float draw.
     pub fn rmat(scale: u32, avg_degree: usize, seed: u64) -> CsrGraph {
         let n = 1usize << scale;
         let m = n * avg_degree / 2;
+        let (t57, t76, t95) = (
+            unit_threshold(0.57),
+            unit_threshold(0.76),
+            unit_threshold(0.95),
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut edges = Vec::with_capacity(m * 2);
         for _ in 0..m {
             let (mut s, mut t) = (0u32, 0u32);
             for _ in 0..scale {
-                s <<= 1;
-                t <<= 1;
-                let r: f64 = rng.gen();
-                if r < 0.57 {
-                    // top-left quadrant
-                } else if r < 0.76 {
-                    t |= 1;
-                } else if r < 0.95 {
-                    s |= 1;
-                } else {
-                    s |= 1;
-                    t |= 1;
-                }
+                let x = rng.next_u64() >> 11;
+                // Quadrants in draw order: (0,0), (0,1), (1,0), (1,1).
+                let s_bit = x >= t76;
+                let t_bit = ((x >= t57) & !s_bit) | (x >= t95);
+                s = (s << 1) | s_bit as u32;
+                t = (t << 1) | t_bit as u32;
             }
             if s != t {
                 edges.push((s, t));
@@ -126,6 +135,12 @@ impl CsrGraph {
     pub fn degree(&self, v: u32) -> usize {
         self.neighbors(v).len()
     }
+}
+
+/// The least 53-bit draw `x` with `x·2⁻⁵³ ≥ c`, for `c` in `[0, 1]`:
+/// `⌈c·2⁵³⌉`, computed exactly because `c·2⁵³` is an exact `f64`.
+fn unit_threshold(c: f64) -> u64 {
+    (c * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Region-relative byte addresses of the graph's arrays.
@@ -591,6 +606,93 @@ mod tests {
         assert!(
             max_deg > avg * 8,
             "hub degree {max_deg} should dwarf the average {avg}"
+        );
+    }
+
+    /// The original R-MAT draw: one uniform float per level and a
+    /// four-way comparison against the cumulative quadrant
+    /// probabilities. [`CsrGraph::rmat`] must reproduce it bit for bit.
+    fn rmat_float_reference(scale: u32, avg_degree: usize, seed: u64) -> CsrGraph {
+        let n = 1usize << scale;
+        let m = n * avg_degree / 2;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(m * 2);
+        for _ in 0..m {
+            let (mut s, mut t) = (0u32, 0u32);
+            for _ in 0..scale {
+                s <<= 1;
+                t <<= 1;
+                let r: f64 = rng.gen();
+                if r < 0.57 {
+                    // top-left quadrant
+                } else if r < 0.76 {
+                    t |= 1;
+                } else if r < 0.95 {
+                    s |= 1;
+                } else {
+                    s |= 1;
+                    t |= 1;
+                }
+            }
+            if s != t {
+                edges.push((s, t));
+                edges.push((t, s));
+            }
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn rmat_matches_the_float_reference_draw() {
+        let seeds = [
+            0,
+            1,
+            7,
+            42,
+            1042,
+            0x50c1a1,
+            0x50c1a1 ^ 42,
+            0x50c1a1 ^ 1042,
+            u64::MAX,
+        ];
+        for scale in [1, 4, 8, 12] {
+            for seed in seeds {
+                let fast = CsrGraph::rmat(scale, 16, seed);
+                let reference = rmat_float_reference(scale, 16, seed);
+                assert_eq!(fast.num_vertices(), reference.num_vertices());
+                assert_eq!(fast.num_edges(), reference.num_edges());
+                for v in 0..reference.num_vertices() as u32 {
+                    assert_eq!(
+                        fast.neighbors(v),
+                        reference.neighbors(v),
+                        "scale {scale}, seed {seed:#x}: vertex {v} differs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rmat_thresholds_split_the_float_draw_exactly() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        for c in [0.57, 0.76, 0.95] {
+            let t = unit_threshold(c);
+            assert!(((t - 1) as f64 * unit) < c, "{c}: last draw below");
+            assert!((t as f64 * unit) >= c, "{c}: first draw at or above");
+        }
+    }
+
+    #[test]
+    fn social_graph_digest_is_pinned() {
+        let g = CsrGraph::rmat(17, 16, 0x50c1a1);
+        let mut bytes = Vec::with_capacity((g.offsets.len() + g.targets.len()) * 4);
+        for w in g.offsets.iter().chain(&g.targets) {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        assert_eq!(
+            cxl_sim::checkpoint::fnv64(&bytes),
+            0x93fd_ceac_daad_867a,
+            "the scale-17 social graph changed"
         );
     }
 

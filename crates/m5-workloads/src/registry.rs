@@ -13,8 +13,7 @@ use crate::kv::{self, KvConfig};
 use crate::liblinear::{self, LiblinearConfig};
 use crate::spec;
 use cxl_sim::addr::VirtAddr;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// The evaluated benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -149,31 +148,18 @@ const MCD_KEYS: u64 = 8 * 8192;
 const CLIB_KEYS: u64 = 9 * 8192;
 const SPEC_PAGES: u64 = 8192;
 
-/// Per-process graph cache: the social (Twitter-like R-MAT) and web
-/// (Google-like uniform) inputs are generated once and shared.
-fn graph_cache() -> &'static Mutex<HashMap<&'static str, Arc<CsrGraph>>> {
-    static CACHE: OnceLock<Mutex<HashMap<&'static str, Arc<CsrGraph>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The Twitter-graph stand-in (undirected R-MAT, scale 17, degree 16).
+/// The Twitter-graph stand-in (undirected R-MAT, scale 17, degree 16),
+/// generated once per process and shared.
 pub fn social_graph() -> Arc<CsrGraph> {
-    let mut cache = graph_cache().lock().expect("graph cache poisoned");
-    Arc::clone(
-        cache
-            .entry("social")
-            .or_insert_with(|| Arc::new(CsrGraph::rmat(17, 16, 0x50c1a1))),
-    )
+    static GRAPH: OnceLock<Arc<CsrGraph>> = OnceLock::new();
+    Arc::clone(GRAPH.get_or_init(|| Arc::new(CsrGraph::rmat(17, 16, 0x50c1a1))))
 }
 
-/// The Google-web-graph stand-in (directed uniform, 128K vertices).
+/// The Google-web-graph stand-in (directed uniform, 128K vertices),
+/// generated once per process and shared.
 pub fn web_graph() -> Arc<CsrGraph> {
-    let mut cache = graph_cache().lock().expect("graph cache poisoned");
-    Arc::clone(
-        cache
-            .entry("web")
-            .or_insert_with(|| Arc::new(CsrGraph::uniform(128 * 1024, 12, 0x90091e))),
-    )
+    static GRAPH: OnceLock<Arc<CsrGraph>> = OnceLock::new();
+    Arc::clone(GRAPH.get_or_init(|| Arc::new(CsrGraph::uniform(128 * 1024, 12, 0x90091e))))
 }
 
 /// A buildable benchmark description.
