@@ -189,9 +189,8 @@ pub(crate) fn plru_victim(tree: u64, levels: u32) -> usize {
 }
 
 /// Probes one exact-LRU set slice (valid entries form a recency-ordered
-/// prefix, way 0 = MRU). The single source of the replacement decision,
-/// shared by [`Llc`]'s whole-cache probes and [`LlcShard`]'s per-shard
-/// probes so the two can never drift apart.
+/// prefix, way 0 = MRU). The replacement decision behind every exact-LRU
+/// demand probe, scalar and grouped alike.
 #[inline]
 fn lru_probe_set(
     set: &mut [u64],
@@ -239,8 +238,8 @@ fn lru_probe_set(
     }
 }
 
-/// Probes one tree-pLRU set slice (stable ways, per-set bit tree).
-/// Shared by [`Llc`] and [`LlcShard`], like [`lru_probe_set`].
+/// Probes one tree-pLRU set slice (stable ways, per-set bit tree); the
+/// tree-pLRU counterpart of [`lru_probe_set`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn plru_probe_set(
@@ -779,212 +778,6 @@ impl Llc {
     pub fn occupancy(&self) -> usize {
         self.entries.iter().filter(|&&e| e != EMPTY).count()
     }
-
-    /// Number of sets (the address space the sharded driver partitions).
-    pub fn n_sets(&self) -> usize {
-        self.n_sets
-    }
-
-    /// The set a packed request word (`line | ` [`REQ_WRITE_BIT`]) maps
-    /// to. The sharded driver's partition pass routes each request to the
-    /// lane of the shard owning this set.
-    #[inline]
-    pub fn req_set(&self, req: u64) -> u32 {
-        self.set_index(CacheLineAddr(req & ADDR_MASK)) as u32
-    }
-
-    /// Splits the cache into disjoint mutable views over contiguous set
-    /// ranges, one per shard. `bounds` must tile `0..n_sets` in ascending
-    /// order (the shape [`crate::oplog::Partition::ranges`] produces;
-    /// empty ranges are fine). Entries are stored set-major, so each
-    /// view's slice is contiguous and the split is a plain `split_at_mut`
-    /// chain — no `unsafe`, no overlap by construction.
-    ///
-    /// Hit/miss/writeback counts accumulate in each shard view and must
-    /// be merged back with [`Llc::merge_shard_counters`] at the sync
-    /// point; the sums are commutative, so the merge order cannot affect
-    /// the totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` does not tile `0..n_sets` in order.
-    pub fn shards<'a>(&'a mut self, bounds: &[std::ops::Range<usize>]) -> Vec<LlcShard<'a>> {
-        let has_plru = self.policy == ReplacementPolicy::TreeLru;
-        let levels = self.levels();
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut entries = &mut self.entries[..];
-        let mut plru = &mut self.plru[..];
-        let mut next = 0usize;
-        for r in bounds {
-            assert_eq!(r.start, next, "shard ranges must tile the sets in order");
-            assert!(r.end <= self.n_sets, "shard range past the last set");
-            next = r.end;
-            let n = r.end - r.start;
-            let (e, rest) = entries.split_at_mut(n * self.ways);
-            entries = rest;
-            let (p, rest) = plru.split_at_mut(if has_plru { n } else { 0 });
-            plru = rest;
-            out.push(LlcShard {
-                entries: e,
-                plru: p,
-                policy: self.policy,
-                ways: self.ways,
-                levels,
-                n_sets: self.n_sets,
-                set_mask: self.set_mask,
-                set_lo: r.start,
-                hits: 0,
-                misses: 0,
-                writebacks: 0,
-            });
-        }
-        assert_eq!(next, self.n_sets, "shard ranges must cover every set");
-        out
-    }
-
-    /// Folds shard-probe counters back into the cache's totals.
-    pub fn merge_shard_counters(&mut self, counters: &[LlcShardCounters]) {
-        for c in counters {
-            self.hits += c.hits;
-            self.misses += c.misses;
-            self.writebacks += c.writebacks;
-        }
-    }
-}
-
-/// Hit/miss/writeback counts accumulated by one [`LlcShard`] probe pass,
-/// handed back to the owning [`Llc`] at the sync point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LlcShardCounters {
-    /// Demand hits observed by the shard.
-    pub hits: u64,
-    /// Demand misses observed by the shard.
-    pub misses: u64,
-    /// Dirty evictions observed by the shard.
-    pub writebacks: u64,
-}
-
-/// A mutable view of one shard's contiguous set range, produced by
-/// [`Llc::shards`]. A worker probes its lane of requests against the view
-/// while other workers do the same against theirs; the set states evolve
-/// exactly as a sequential in-order probe would leave them, because each
-/// set only ever sees its own requests in their original arrival order
-/// (the lane preserves it) and sets are independent.
-#[derive(Debug)]
-pub struct LlcShard<'a> {
-    /// This shard's `sets × ways` packed entries.
-    entries: &'a mut [u64],
-    /// This shard's pLRU trees (empty under exact LRU).
-    plru: &'a mut [u64],
-    policy: ReplacementPolicy,
-    ways: usize,
-    levels: u32,
-    /// Whole-cache set count (set indexing is global, then rebased).
-    n_sets: usize,
-    /// Whole-cache set mask (see [`Llc::set_index`]).
-    set_mask: usize,
-    /// First global set index owned by this shard.
-    set_lo: usize,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-}
-
-impl LlcShard<'_> {
-    /// Global set index of a packed request (same mapping as
-    /// [`Llc::req_set`]).
-    #[inline]
-    fn req_set(&self, req: u64) -> usize {
-        let line = (req & ADDR_MASK) as usize;
-        if self.set_mask != 0 {
-            line & self.set_mask
-        } else {
-            line % self.n_sets
-        }
-    }
-
-    /// Probes every packed request in `reqs` in lane order (each must map
-    /// to a set this shard owns). `hit_out[i]` / `wb_out[i]`
-    /// ([`NO_WRITEBACK`] when none) receive the outcomes, to be scattered
-    /// back to dense positions by the caller.
-    ///
-    /// Mirrors the sparse-regime loop of [`Llc::access_grouped`],
-    /// including the exact-LRU consecutive-same-line fast path: after any
-    /// probe of `line`, that line is its set's MRU, and no other shard
-    /// can touch this shard's sets — so a consecutive lane re-probe of
-    /// the same line is certainly a hit whose move-to-front is a no-op,
-    /// exactly as in the sequential engine.
-    pub fn probe(&mut self, reqs: &[u64], hit_out: &mut [bool], wb_out: &mut [u64]) {
-        debug_assert_eq!(reqs.len(), hit_out.len());
-        debug_assert_eq!(reqs.len(), wb_out.len());
-        const WARM_WINDOW: usize = 32;
-        let n = reqs.len();
-        let mut prev = EMPTY; // no line address is ever EMPTY
-        let mut prev_base = 0usize;
-        let mut w0 = 0usize;
-        while w0 < n {
-            let w1 = (w0 + WARM_WINDOW).min(n);
-            for &r in &reqs[w0..w1] {
-                let base = (self.req_set(r) - self.set_lo) * self.ways;
-                std::hint::black_box(self.entries[base]);
-                if self.ways > 8 {
-                    std::hint::black_box(self.entries[base + 8]);
-                }
-            }
-            for i in w0..w1 {
-                let r = reqs[i];
-                let line = r & ADDR_MASK;
-                if self.policy == ReplacementPolicy::ExactLru && line == prev {
-                    if r & REQ_WRITE_BIT != 0 {
-                        self.entries[prev_base] |= DIRTY;
-                    }
-                    self.hits += 1;
-                    hit_out[i] = true;
-                    continue;
-                }
-                let local = self.req_set(r) - self.set_lo;
-                let base = local * self.ways;
-                let set = &mut self.entries[base..base + self.ways];
-                let res = match self.policy {
-                    ReplacementPolicy::ExactLru => lru_probe_set(
-                        set,
-                        CacheLineAddr(line),
-                        r & REQ_WRITE_BIT != 0,
-                        &mut self.hits,
-                        &mut self.misses,
-                        &mut self.writebacks,
-                    ),
-                    ReplacementPolicy::TreeLru => plru_probe_set(
-                        set,
-                        &mut self.plru[local],
-                        self.levels,
-                        CacheLineAddr(line),
-                        r & REQ_WRITE_BIT != 0,
-                        &mut self.hits,
-                        &mut self.misses,
-                        &mut self.writebacks,
-                    ),
-                };
-                hit_out[i] = res.hit;
-                if let Some(wb) = res.writeback {
-                    wb_out[i] = wb.0;
-                }
-                prev = line;
-                prev_base = base;
-            }
-            w0 = w1;
-        }
-    }
-
-    /// The counters this shard accumulated, for
-    /// [`Llc::merge_shard_counters`].
-    pub fn counters(&self) -> LlcShardCounters {
-        LlcShardCounters {
-            hits: self.hits,
-            misses: self.misses,
-            writebacks: self.writebacks,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1151,84 +944,6 @@ mod tests {
                 "{policy:?}"
             );
         }
-    }
-
-    #[test]
-    fn sharded_probe_matches_sequential_for_both_policies() {
-        use crate::oplog::Partition;
-        for policy in [ReplacementPolicy::ExactLru, ReplacementPolicy::TreeLru] {
-            for shards in [1usize, 2, 3, 8] {
-                let mut scalar = Llc::with_policy(LlcConfig::tiny(), policy);
-                let mut sharded = scalar.clone();
-                let mut x = 0xfeed_5eedu64;
-                let reqs: Vec<u64> = (0..600)
-                    .map(|_| {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        ((x >> 19) % 512) | if x & 2 == 2 { REQ_WRITE_BIT } else { 0 }
-                    })
-                    .collect();
-                let expect: Vec<CacheAccess> = reqs
-                    .iter()
-                    .map(|&r| {
-                        scalar.access(CacheLineAddr(r & !REQ_WRITE_BIT), r & REQ_WRITE_BIT != 0)
-                    })
-                    .collect();
-
-                // Route each request to the shard owning its set, probe
-                // per shard, then scatter outcomes back by logical time.
-                let part = Partition::new(sharded.n_sets(), shards);
-                let mut lane_req: Vec<Vec<u64>> = vec![Vec::new(); shards];
-                let mut lane_idx: Vec<Vec<u32>> = vec![Vec::new(); shards];
-                for (i, &r) in reqs.iter().enumerate() {
-                    let k = part.shard_of(sharded.req_set(r) as usize);
-                    lane_req[k].push(r);
-                    lane_idx[k].push(i as u32);
-                }
-                let bounds: Vec<_> = part.ranges().collect();
-                let mut hits = vec![false; reqs.len()];
-                let mut wbs = vec![NO_WRITEBACK; reqs.len()];
-                let mut counters = Vec::new();
-                for (k, mut view) in sharded.shards(&bounds).into_iter().enumerate() {
-                    let mut h = vec![false; lane_req[k].len()];
-                    let mut w = vec![NO_WRITEBACK; lane_req[k].len()];
-                    view.probe(&lane_req[k], &mut h, &mut w);
-                    counters.push(view.counters());
-                    for (j, &i) in lane_idx[k].iter().enumerate() {
-                        hits[i as usize] = h[j];
-                        wbs[i as usize] = w[j];
-                    }
-                }
-                sharded.merge_shard_counters(&counters);
-
-                for (i, e) in expect.iter().enumerate() {
-                    assert_eq!(hits[i], e.hit, "{policy:?} shards={shards} req {i}");
-                    assert_eq!(
-                        wbs[i],
-                        e.writeback.map_or(NO_WRITEBACK, |w| w.0),
-                        "{policy:?} shards={shards} req {i}"
-                    );
-                }
-                assert_eq!(
-                    scalar.entries, sharded.entries,
-                    "{policy:?} shards={shards}"
-                );
-                assert_eq!(scalar.plru, sharded.plru, "{policy:?} shards={shards}");
-                assert_eq!(
-                    (scalar.hits, scalar.misses, scalar.writebacks),
-                    (sharded.hits, sharded.misses, sharded.writebacks),
-                    "{policy:?} shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn shard_bounds_must_tile_all_sets() {
-        let mut llc = Llc::new(LlcConfig::tiny());
-        let _ = llc.shards(&[0..10]); // tiny has 32 sets
     }
 
     #[test]

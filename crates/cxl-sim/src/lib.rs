@@ -70,7 +70,6 @@ pub mod kernel;
 pub mod memory;
 pub mod mglru;
 pub mod migration;
-pub mod oplog;
 pub mod paging;
 pub mod perfmon;
 pub mod ras;

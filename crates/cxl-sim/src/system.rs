@@ -25,7 +25,7 @@
 //! attributable to the application.
 
 use crate::addr::{CacheLineAddr, Pfn, VirtAddr, Vpn, WordIndex, WORDS_PER_PAGE};
-use crate::cache::{Llc, LlcSetScratch, LlcShardCounters, NO_WRITEBACK, REQ_WRITE_BIT};
+use crate::cache::{Llc, LlcSetScratch, NO_WRITEBACK, REQ_WRITE_BIT};
 use crate::chunk::{
     word_is_op_end, word_is_write, word_vaddr, AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT,
     CHUNK_WRITE_BIT,
@@ -39,7 +39,6 @@ use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::{NodeId, OutOfFrames, TieredMemory, CXL_BASE_PFN};
 use crate::mglru::MgLru;
 use crate::migration::{BatchOutcome, MigrateError, MigrationStats};
-use crate::oplog::{Lane, OpLog, Partition};
 use crate::paging::{PageTable, PteFlags};
 use crate::perfmon::{BandwidthStats, PerfMonitor};
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
@@ -49,7 +48,6 @@ use crate::tlb::Tlb;
 use m5_telemetry::{SpanId, Telemetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A contiguous virtual region handed to a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -261,78 +259,6 @@ fn node_idx(node: NodeId) -> usize {
 /// ahead to overlap the PTE fill with the current run's work.
 const PT_LOOKAHEAD: usize = 16;
 
-/// A maximal same-page stretch of one gather slice, the unit logged by
-/// the sharded translate gather. Continuations of a run cut by a slice
-/// boundary surface as a new run whose VPN equals its predecessor's; the
-/// sequential replay pass rejoins them.
-#[derive(Clone, Copy, Debug)]
-struct PageRun {
-    /// The page every access of the run touches.
-    vpn: Vpn,
-    /// Accesses in the run.
-    len: u32,
-    /// OR of the run's write flags (PTE dirty accumulation).
-    wrote: bool,
-    /// The run's *first* access's write flag — the only one that counts
-    /// when that access takes a hinting fault and truncates the block.
-    first_write: bool,
-}
-
-/// One worker's input to the sharded translate gather: a contiguous slice
-/// of the block's packed words, the matching `split_at_mut` slice of the
-/// request scratch it owns exclusively, and a shared (read-only) view of
-/// the page table.
-struct GatherTask<'a> {
-    /// Block-absolute index of `words[0]` (the slice's logical-time base).
-    start: u32,
-    words: &'a [u64],
-    reqs: &'a mut [u64],
-    pt: &'a PageTable,
-}
-
-/// Runs one gather slice: packs each access's LLC request (translations
-/// are frozen for the block — PFNs only change at migration sync points,
-/// never mid-block — so a read-only PTE walk is exact) and logs the
-/// slice's page runs with block-absolute logical times. PTE *flags* are
-/// deliberately not read here: the replay pass re-reads them fresh, after
-/// earlier-in-block stores have landed.
-fn gather_runs(t: GatherTask<'_>) -> Lane<PageRun> {
-    let mut lane = Lane::new();
-    let mut cur_vpn: Option<Vpn> = None;
-    let mut cur_pfn = Pfn(0);
-    for (j, &w) in t.words.iter().enumerate() {
-        let vaddr = word_vaddr(w);
-        let vpn = vaddr.vpn();
-        let is_write = word_is_write(w);
-        if cur_vpn != Some(vpn) {
-            if let Some(&wa) = t.words.get(j + PT_LOOKAHEAD) {
-                t.pt.prefetch(word_vaddr(wa).vpn());
-            }
-            let pte = match t.pt.get(vpn) {
-                Some(p) => *p,
-                None => panic!("{}", SimError::Unmapped(vaddr)),
-            };
-            cur_vpn = Some(vpn);
-            cur_pfn = pte.pfn;
-            lane.push(
-                t.start + j as u32,
-                PageRun {
-                    vpn,
-                    len: 0,
-                    wrote: false,
-                    first_write: is_write,
-                },
-            );
-        }
-        let run = lane.ops.last_mut().expect("run opened above");
-        run.len += 1;
-        run.wrote |= is_write;
-        t.reqs[j] = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line().0
-            | if is_write { REQ_WRITE_BIT } else { 0 };
-    }
-    lane
-}
-
 /// Reusable struct-of-arrays scratch for the staged batch engine
 /// ([`System::staged_block`]). Pure working memory: cleared at every use,
 /// observable state never passes through it, and it is deliberately absent
@@ -355,8 +281,9 @@ struct StagedScratch {
 }
 
 /// Cumulative wall-clock spent in each staged pass, recorded only after
-/// [`System::enable_stage_timing`] (the throughput bench's opt-in
-/// stage-breakdown flag; timing syscalls are not free on the hot path).
+/// [`System::enable_stage_timing`] (opt-in for benchmark harnesses that
+/// report a per-stage breakdown; timing syscalls are not free on the hot
+/// path).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
     /// Stage 1 — translate: paging, TLB, PTE-flag accumulation. Nanoseconds.
@@ -371,26 +298,6 @@ pub struct StageTimes {
     pub blocks: u64,
     /// Accesses that went through the staged path (vs the scalar loop).
     pub staged_accesses: u64,
-    /// Staged blocks that took the core-sharded fan-out (a subset of
-    /// `blocks`; zero when `sim_shards <= 1` or blocks stay under the
-    /// sharding threshold). Lets harnesses assert the sharded engine
-    /// actually engaged rather than passing vacuously on the scalar path.
-    pub sharded_blocks: u64,
-}
-
-/// The merged epoch-boundary view of the machine a manager tick samples
-/// (see [`System::merged_view`]). All arrays are `[DDR, CXL]` ordered.
-#[derive(Clone, Copy, Debug)]
-pub struct MergedView {
-    /// Pages allocated per node.
-    pub nr_pages: [u64; 2],
-    /// The just-closed measurement window's bandwidth stats per node.
-    pub bw: [BandwidthStats; 2],
-    /// Configured (unloaded) access latency per node.
-    pub lat_unloaded: [Nanos; 2],
-    /// Current loaded access latency per node (equals unloaded when the
-    /// contention model is off or the link is idle).
-    pub lat_loaded: [Nanos; 2],
 }
 
 /// The composed tiered-memory machine.
@@ -438,13 +345,6 @@ pub struct System {
     staged: StagedScratch,
     /// Per-stage wall-clock accounting, when enabled (boxed: cold field).
     stage_times: Option<Box<StageTimes>>,
-    /// Worker shards the staged engine fans out to (see
-    /// [`System::set_sim_shards`]). A pure runtime performance knob:
-    /// deliberately absent from `SystemConfig`, the config fingerprint,
-    /// and checkpoints, because no observable state may depend on it —
-    /// the sharded engine is byte-identical to the sequential one at
-    /// every value.
-    sim_shards: usize,
 }
 
 impl System {
@@ -494,7 +394,6 @@ impl System {
             evac_exhaustion_noted: false,
             staged: StagedScratch::default(),
             stage_times: None,
-            sim_shards: 1,
             config,
         }
     }
@@ -1032,22 +931,6 @@ impl System {
         self.stage_times.as_deref()
     }
 
-    /// Sets the number of worker shards quiet-segment blocks fan out to
-    /// (clamped to at least 1; 1 = the sequential staged engine). The
-    /// sharded engine is byte-identical to the sequential one — reports,
-    /// telemetry snapshots, and checkpoint images do not depend on this
-    /// value — so drivers may pick whatever the host's core count
-    /// suggests. Workers come from the global thread pool
-    /// (`rayon::set_num_threads` pins its size).
-    pub fn set_sim_shards(&mut self, n: usize) {
-        self.sim_shards = n.max(1);
-    }
-
-    /// Current worker-shard count (see [`System::set_sim_shards`]).
-    pub fn sim_shards(&self) -> usize {
-        self.sim_shards
-    }
-
     /// Strict upper bound on a single *non-faulting* quiet-segment
     /// access's latency: every additive term of [`System::access_core`]
     /// at its maximum — page walk, LLC hit, the slower node's fill, plus
@@ -1208,7 +1091,7 @@ impl System {
         self.llc
             .access_grouped(&s.reqs, &mut s.hits, &mut s.wbs, &mut s.llc);
 
-        // Stages 3–4 are shared with the sharded front half.
+        // Stages 3–4: classify, bill, and feed the trackers.
         let t2 = timing.then(std::time::Instant::now);
         if let (Some(ts), Some(t0), Some(t1), Some(t2)) =
             (self.stage_times.as_deref_mut(), t0, t1, t2)
@@ -1221,14 +1104,12 @@ impl System {
         (cut, fault_vpn)
     }
 
-    /// Stages 3–4 of the staged engine, shared verbatim by the sequential
-    /// ([`System::staged_block`]) and sharded
-    /// ([`System::staged_block_sharded`]) front halves: classify and bill
-    /// the first `cut` accesses strictly in logical-time order (the clock,
-    /// contention model, perfmon, and telemetry all observe the exact
-    /// per-access sequence), then flush the deferred snoops to the tracker
-    /// devices in one batched fan-out. `faulted` is whether the block was
-    /// truncated by a hinting fault (for the telemetry counter).
+    /// Stages 3–4 of the staged engine ([`System::staged_block`]): classify
+    /// and bill the first `cut` accesses strictly in access order (the
+    /// clock, contention model, perfmon, and telemetry all observe the
+    /// exact per-access sequence), then flush the deferred snoops to the
+    /// tracker devices in one batched fan-out. `faulted` is whether the
+    /// block was truncated by a hinting fault (for the telemetry counter).
     fn staged_bill(
         &mut self,
         words: &[u64],
@@ -1351,209 +1232,6 @@ impl System {
         }
     }
 
-    /// Core-sharded variant of [`System::staged_block`]: the translate
-    /// gather and the LLC probe fan out across worker shards, with every
-    /// cross-shard effect routed through a logical-time [`OpLog`] and
-    /// applied by a sequential pass — see `crate::oplog` for the sync-
-    /// point protocol. Byte-identical to the sequential engine at every
-    /// shard count.
-    ///
-    /// ## Why the sharding is byte-identical
-    ///
-    /// * **Gather (parallel, by access range).** Each worker reads only
-    ///   frozen state — PFNs cannot change mid-block (migrations happen at
-    ///   pauses) — and writes only its own `split_at_mut` slice of the
-    ///   request scratch plus its own run lane. PTE *flags* and the TLB
-    ///   are not touched: a worker cannot know what flags an earlier slice
-    ///   will store.
-    /// * **Run replay (sequential, in logical time).** The merged run
-    ///   lanes tile the block in order, so replaying them is exactly the
-    ///   scalar translate loop with same-page stretches pre-compressed:
-    ///   one TLB lookup/insert + fresh flag read per page run (fresh reads
-    ///   observe earlier in-block stores), bulk repeat-hits for
-    ///   continuations, one flag store per run. A non-present page is
-    ///   only ever met at a run *start* (nothing clears the present bit
-    ///   mid-block, and an earlier fault on the page would already have
-    ///   truncated the block), so the fault cut lands on the same access
-    ///   the scalar loop would have picked.
-    /// * **LLC probe (parallel, by set range).** Requests are routed to
-    ///   the shard owning their set, preserving per-set arrival order;
-    ///   sets are independent and the per-shard probe replays
-    ///   [`Llc::access_grouped`]'s decisions exactly (see
-    ///   [`crate::cache::LlcShard::probe`]). Outcomes scatter back to
-    ///   their logical-time positions; counter sums are commutative.
-    /// * **Billing (sequential).** Stages 3–4 are the shared
-    ///   [`System::staged_bill`], byte-for-byte the sequential path.
-    fn staged_block_sharded(&mut self, words: &[u64], st: &mut BatchState) -> (usize, Option<Vpn>) {
-        let timing = self.stage_times.is_some();
-        let mut s = std::mem::take(&mut self.staged);
-        let costs = self.config.costs;
-        let n = words.len();
-        // Slices shorter than the staged threshold are not worth a
-        // work-queue round trip; the cap keeps per-worker slices at least
-        // one threshold long (and depends only on the block length and
-        // configuration, never on scheduling).
-        let shards = self
-            .sim_shards
-            .min(n / self.config.staged_min_block.max(1))
-            .max(1);
-
-        // Stage 1a: parallel gather — pack LLC requests, log page runs.
-        let t0 = timing.then(std::time::Instant::now);
-        s.reqs.clear();
-        s.reqs.resize(n, 0);
-        s.base_lat.clear();
-        s.base_lat.resize(n, 0);
-        let part = Partition::new(n, shards);
-        let lanes: Vec<Lane<PageRun>> = {
-            let pt = &self.page_table;
-            let mut tasks = Vec::with_capacity(shards);
-            let mut req_rest = s.reqs.as_mut_slice();
-            for r in part.ranges() {
-                let (reqs, rest) = req_rest.split_at_mut(r.len());
-                req_rest = rest;
-                tasks.push(GatherTask {
-                    start: r.start as u32,
-                    words: &words[r],
-                    reqs,
-                    pt,
-                });
-            }
-            tasks.into_par_iter().map(gather_runs).collect()
-        };
-
-        // Stage 1b: sequential replay of the merged run log — TLB, PTE
-        // flags, and the hinting-fault cut, in logical-time order.
-        let runlog = OpLog::from_lanes(lanes);
-        let mut cut = n;
-        let mut fault_vpn = None;
-        let mut prev: Option<(Vpn, PteFlags, PteFlags)> = None;
-        for (time, run) in runlog.iter_in_time() {
-            let start = time as usize;
-            if let Some((pv, flags, _)) = prev.as_mut() {
-                if *pv == run.vpn {
-                    // A slice boundary cut this page run in two: the
-                    // front half already proved the page present and left
-                    // its VPN most-recently-used, so every access here is
-                    // a repeat hit.
-                    self.tlb.repeat_hits(run.len as u64);
-                    if run.wrote {
-                        *flags = flags.with_dirty();
-                    }
-                    continue;
-                }
-            }
-            if let Some((pv, flags, orig)) = prev.take() {
-                if flags != orig {
-                    self.page_table.store_flags(pv, flags);
-                }
-            }
-            let pte = *self
-                .page_table
-                .get(run.vpn)
-                .expect("gathered run lost its mapping");
-            let mut flags = pte.flags;
-            let orig = pte.flags;
-            let mut lat = 0u64;
-            let hint = !flags.present();
-            if hint {
-                self.hinting_faults += 1;
-                self.bill_kernel(CostKind::HintingFault, costs.hinting_fault);
-                lat += costs.hinting_fault.0;
-                flags = flags.with_present();
-            }
-            if !self.tlb.lookup(run.vpn) {
-                lat += costs.page_walk.0;
-                flags = flags.with_accessed();
-                self.tlb.insert(run.vpn);
-            }
-            s.base_lat[start] = lat;
-            if hint {
-                // The batch pauses after a hinting fault; truncate the
-                // block at the faulting access (always a run start). Only
-                // that access's own write flag reaches the dirty bit.
-                if run.first_write {
-                    flags = flags.with_dirty();
-                }
-                if flags != orig {
-                    self.page_table.store_flags(run.vpn, flags);
-                }
-                cut = start + 1;
-                fault_vpn = Some(run.vpn);
-                break;
-            }
-            if run.wrote {
-                flags = flags.with_dirty();
-            }
-            if run.len > 1 {
-                self.tlb.repeat_hits(run.len as u64 - 1);
-            }
-            prev = Some((run.vpn, flags, orig));
-        }
-        if let Some((pv, flags, orig)) = prev {
-            if flags != orig {
-                self.page_table.store_flags(pv, flags);
-            }
-        }
-        s.reqs.truncate(cut);
-
-        // Stage 2a: route each request to the shard owning its LLC set
-        // (lanes preserve per-set arrival order by construction).
-        let t1 = timing.then(std::time::Instant::now);
-        let lpart = Partition::new(self.llc.n_sets(), shards);
-        let mut reqlog: OpLog<u64> = OpLog::new(shards);
-        for (i, &r) in s.reqs.iter().enumerate() {
-            reqlog.push(lpart.shard_of(self.llc.req_set(r) as usize), i as u32, r);
-        }
-
-        // Stage 2b: parallel per-shard probes over disjoint set-range
-        // views of the cache.
-        let bounds: Vec<std::ops::Range<usize>> = lpart.ranges().collect();
-        let results: Vec<(Vec<bool>, Vec<u64>, LlcShardCounters)> = self
-            .llc
-            .shards(&bounds)
-            .into_iter()
-            .zip(reqlog.lanes())
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(mut view, lane)| {
-                let mut hits = vec![false; lane.len()];
-                let mut wbs = vec![NO_WRITEBACK; lane.len()];
-                view.probe(&lane.ops, &mut hits, &mut wbs);
-                (hits, wbs, view.counters())
-            })
-            .collect();
-
-        // Stage 2c: scatter outcomes back to their logical-time slots and
-        // merge the (commutative) counters.
-        s.hits.clear();
-        s.hits.resize(cut, false);
-        s.wbs.clear();
-        s.wbs.resize(cut, NO_WRITEBACK);
-        let mut counters = Vec::with_capacity(shards);
-        for (lane, (hits, wbs, c)) in reqlog.lanes().iter().zip(&results) {
-            for (j, &t) in lane.time.iter().enumerate() {
-                s.hits[t as usize] = hits[j];
-                s.wbs[t as usize] = wbs[j];
-            }
-            counters.push(*c);
-        }
-        self.llc.merge_shard_counters(&counters);
-
-        // Stages 3–4: the shared sequential billing + tracker feed.
-        let t2 = timing.then(std::time::Instant::now);
-        if let Some(ts) = self.stage_times.as_deref_mut() {
-            ts.sharded_blocks += 1;
-            if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
-                ts.translate_ns += (t1 - t0).as_nanos() as u64;
-                ts.llc_ns += (t2 - t1).as_nanos() as u64;
-            }
-        }
-        self.staged_bill(words, cut, fault_vpn.is_some(), st, &mut s);
-        self.staged = s;
-        (cut, fault_vpn)
-    }
-
     /// Executes accesses from `chunk` starting at index `from`, returning
     /// the index of the first unexecuted access and why the batch paused.
     ///
@@ -1644,18 +1322,7 @@ impl System {
                         (((horizon.0 - 1 - now.0) / u) + 1).min(avail as u64) as usize
                     };
                     if block >= self.config.staged_min_block {
-                        // Shard the block across workers when asked to
-                        // and the block is big enough to split (at least
-                        // two threshold-sized slices); both engines are
-                        // byte-identical, so this choice is purely a
-                        // performance decision.
-                        let sharded =
-                            self.sim_shards > 1 && block >= 2 * self.config.staged_min_block.max(1);
-                        let (done, fault) = if sharded {
-                            self.staged_block_sharded(&words[idx..idx + block], st)
-                        } else {
-                            self.staged_block(&words[idx..idx + block], st)
-                        };
+                        let (done, fault) = self.staged_block(&words[idx..idx + block], st);
                         idx += done;
                         executed = true;
                         if let Some(vpn) = fault {
@@ -1769,39 +1436,6 @@ impl System {
             }
         }
         stats
-    }
-
-    /// Closes the measurement window and returns the merged epoch-boundary
-    /// view a manager tick consumes: per-node page counts, bandwidth
-    /// windows, and unloaded/loaded latencies, all `[DDR, CXL]` ordered.
-    ///
-    /// This is the sharded driver's **sync point for manager state**: by
-    /// the oplog protocol (see `crate::oplog`) a daemon tick only runs
-    /// between blocks, when every shard's effects have already been
-    /// replayed into the owning state — so the "merge" is simply reading
-    /// that state, and the view is identical at every shard count. (The
-    /// quiescence holds structurally: daemon ticks are dispatched by the
-    /// drivers only between batches, never while a block's scratch is
-    /// checked out.)
-    ///
-    /// Wraps [`System::rollover_bandwidth`] (inheriting its telemetry
-    /// gauge publication) and performs the exact same reads the manager's
-    /// Monitor historically did inline, in the same order, so sampling
-    /// through the view is byte-identical.
-    pub fn merged_view(&mut self) -> MergedView {
-        let bw = self.rollover_bandwidth();
-        MergedView {
-            bw,
-            lat_unloaded: [
-                self.config.ddr.access_latency,
-                self.config.cxl.access_latency,
-            ],
-            lat_loaded: [
-                self.loaded_latency(NodeId::Ddr),
-                self.loaded_latency(NodeId::Cxl),
-            ],
-            nr_pages: [self.nr_pages(NodeId::Ddr), self.nr_pages(NodeId::Cxl)],
-        }
     }
 
     /// The expected end-to-end latency of the next demand fill on `node`:
@@ -3036,10 +2670,6 @@ impl System {
             evac_span: None,
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
             staged: StagedScratch::default(),
-            // Runtime performance knobs are not checkpointed state: a
-            // restored machine starts sequential until the driver says
-            // otherwise, and the images stay identical either way.
-            sim_shards: 1,
             stage_times: None,
             config,
         })
@@ -3249,9 +2879,9 @@ impl BatchState {
 /// simulated accesses with daemon wakeups and fault delivery interleaved
 /// exactly as the per-access loop would.
 ///
-/// [`run_chunked`] is the everything-in-one-thread assembly; `m5-bench`
-/// builds an overlapped double-buffered driver from the same three calls
-/// (`begin` / `drive` / `finish`).
+/// [`run_chunked`] is the plain assembly; drivers that need to act between
+/// chunks (checkpoint capture, per-phase timing) step the same three calls
+/// (`begin` / `drive` / `finish`) themselves.
 #[derive(Debug)]
 pub struct ChunkedRun {
     before: SystemStats,

@@ -238,15 +238,6 @@ impl Tlb {
         self.hits += 1;
     }
 
-    /// Records `n` consecutive [`Tlb::repeat_hit`]s in one add. The
-    /// sharded translate pass compresses a same-page run into a single
-    /// logged operation, so it bills the run's continuation hits in bulk;
-    /// the correctness condition is the same as for `repeat_hit`.
-    #[inline]
-    pub fn repeat_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
     /// Inserts a translation, evicting the LRU entry of the set if full.
     #[inline]
     pub fn insert(&mut self, vpn: Vpn) {

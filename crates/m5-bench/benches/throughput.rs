@@ -1,26 +1,18 @@
 //! Wall-clock throughput bench: accesses/sec of the hot access pipeline.
 //!
-//! Six suites:
+//! Four suites:
 //!
 //! * **golden** — the three golden workloads (`m5_bench::golden::GOLDENS`)
 //!   driven through the standard machine with the M5 manager and an
 //!   *enabled* telemetry bus, exactly like the golden differential harness.
 //!   This is the instrumented end-to-end pipeline the figure benches pay
-//!   for on every run. The simulate side (`drive` + `finish`) is timed
-//!   inside the overlapped driver, so `gen_ns + sim_ns == wall_ns` holds
-//!   exactly and `accesses_per_sec` stays simulation-only — comparable
-//!   across baselines without double-counting the overlapped generation.
-//! * **sharded** — the same three goldens with the machine split into
-//!   `--shards` simulation shards (default: available parallelism), the
-//!   core-sharded engine's end-to-end cost. Byte-identical results to
-//!   **golden** by construction; only the wall clock may differ.
-//! * **scaling** — the graph golden at shard counts 1/2/4/8 regardless of
-//!   `--shards`: the scaling curve CI archives per run
-//!   (`scaling_graph_s<N>` suites; also `--scaling-out PATH` for a
-//!   stand-alone text artifact).
+//!   for on every run. The chunked driver is stepped here so the simulate
+//!   side (`drive` + `finish`) is timed apart from trace build and chunk
+//!   fills: `gen_ns + sim_ns == wall_ns` holds exactly and
+//!   `accesses_per_sec` stays simulation-only.
 //! * **gen** — workload generation alone: record the trace, then drain it
 //!   through `fill_chunk` into reusable chunks. The producer half of the
-//!   overlapped pipeline, isolated.
+//!   chunked pipeline, isolated.
 //! * **loaded_off** — the loaded-latency sweep's driver (Zipf workload
 //!   under the `MonitorOnly` heartbeat) on the fixed-cost machine, so the
 //!   gate covers the sweep path with contention-off numbers that stay
@@ -36,28 +28,24 @@
 //! (translate/LLC/bill/tracker) is recorded per chunked suite.
 //!
 //! JSON schema, one suite object per line (the `--check` parser is
-//! line-based and expects `accesses_per_sec` last on the line). The
-//! top-level `"shards"` key records the `--shards` value the run used, so
-//! archived artifacts are self-describing:
+//! line-based and expects `accesses_per_sec` last on the line):
 //!
 //! ```text
 //! {"name": str,             suite identifier
 //!  "accesses": u64,         simulated accesses per rep
 //!  "wall_ns": u128,         best rep's total wall time; == gen_ns + sim_ns
-//!  "gen_ns": u128,          generation + driver overhead not hidden by overlap
+//!  "gen_ns": u128,          trace build + chunk fills + driver overhead
 //!  "sim_ns": u128,          simulate-side wall time (0 for gen-only suites)
 //!  "stages": {...}?,        only with --stages on chunked suites:
 //!                           translate/llc/bill/tracker ns, blocks,
 //!                           staged_accesses
-//!  "shards": usize?,        only on sharded/scaling suites: shard count
 //!  "accesses_per_sec": f64} accesses / sim_ns (per wall_ns if sim_ns == 0)
 //! ```
 
 use cxl_sim::chunk::AccessChunk;
 use cxl_sim::prelude::*;
-use cxl_sim::system::{StageTimes, DEFAULT_CHUNK_ACCESSES};
+use cxl_sim::system::{ChunkedRun, StageTimes, DEFAULT_CHUNK_ACCESSES};
 use m5_bench::golden::GOLDENS;
-use m5_bench::pipeline::run_overlapped_timed;
 use m5_core::manager::{M5Config, M5Manager};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -75,8 +63,6 @@ struct Measurement {
     /// Staged-engine pass breakdown of the best rep (`--stages`, chunked
     /// suites only).
     stages: Option<StageTimes>,
-    /// Simulation shard count (sharded/scaling suites only).
-    shards: Option<usize>,
 }
 
 impl Measurement {
@@ -102,19 +88,44 @@ fn arg_value(flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Measures one golden workload end to end at `shards` simulation
-/// shards: the M5 manager, an enabled telemetry bus, and the overlapped
-/// driver — exactly the golden differential harness, timed. `shards ==
-/// 1` is the sequential staged engine; higher counts exercise the
-/// core-sharded engine. Results are byte-identical either way — only the
-/// wall clock may move.
+/// `cxl_sim::system::run` with the simulate side timed: returns the
+/// report and the wall-clock nanoseconds spent in `drive` + `finish`.
+/// Chunk fills run between the timed spans, so `wall − sim` is the
+/// generation cost plus the driver's own overhead. Two clock reads per
+/// multi-thousand-access chunk are noise next to its simulation cost.
+fn run_timed<W, D>(sys: &mut System, wl: &mut W, daemon: &mut D, accesses: u64) -> (RunReport, u128)
+where
+    W: AccessStream + ?Sized,
+    D: MigrationDaemon + ?Sized,
+{
+    let mut run = ChunkedRun::begin(sys, daemon);
+    let mut chunk = AccessChunk::with_capacity(DEFAULT_CHUNK_ACCESSES);
+    let mut sim_ns = 0u128;
+    while run.accesses() < accesses {
+        chunk.clear();
+        let left = accesses - run.accesses();
+        chunk.set_limit(left.min(DEFAULT_CHUNK_ACCESSES as u64) as usize);
+        if wl.fill_chunk(&mut chunk) == 0 {
+            break;
+        }
+        let t = Instant::now();
+        run.drive(sys, daemon, &chunk, accesses);
+        sim_ns += t.elapsed().as_nanos();
+    }
+    let t = Instant::now();
+    let report = run.finish(sys, daemon);
+    sim_ns += t.elapsed().as_nanos();
+    (report, sim_ns)
+}
+
+/// Measures one golden workload end to end: the M5 manager, an enabled
+/// telemetry bus, and the chunked driver — exactly the golden
+/// differential harness, timed.
 fn measure_golden(
     g: &m5_bench::golden::GoldenSpec,
-    name: String,
     accesses: u64,
     reps: u32,
     stages: bool,
-    shards: usize,
 ) -> Measurement {
     let spec = g.benchmark.spec();
     // (sim, wall, stage breakdown) of the rep with the best simulate
@@ -124,14 +135,13 @@ fn measure_golden(
     for _ in 0..reps {
         let (mut sys, region) = m5_bench::standard_system(&spec);
         sys.install_telemetry(Telemetry::enabled());
-        sys.set_sim_shards(shards);
         if stages {
             sys.enable_stage_timing();
         }
         let t0 = Instant::now();
         let mut wl = spec.build(region.base, accesses, g.seed);
         let mut m5 = M5Manager::new(M5Config::default());
-        let (report, sim) = run_overlapped_timed(&mut sys, &mut wl, &mut m5, accesses);
+        let (report, sim) = run_timed(&mut sys, &mut wl, &mut m5, accesses);
         let wall = t0.elapsed().as_nanos();
         assert_eq!(report.accesses, accesses, "workload ended early");
         if best.as_ref().is_none_or(|(s, _, _)| sim < *s) {
@@ -140,69 +150,25 @@ fn measure_golden(
     }
     let (sim, wall, st) = best.expect("reps >= 1");
     Measurement {
-        name,
+        name: format!("golden_{}", g.name),
         accesses,
         wall_ns: wall,
         gen_ns: wall - sim,
         sim_ns: sim,
         stages: st,
-        shards: (shards > 1).then_some(shards),
     }
 }
 
 fn golden_suite(accesses: u64, reps: u32, stages: bool) -> Vec<Measurement> {
     GOLDENS
         .iter()
-        .map(|g| measure_golden(g, format!("golden_{}", g.name), accesses, reps, stages, 1))
-        .collect()
-}
-
-/// The three goldens through the core-sharded engine at the `--shards`
-/// count the run was invoked with.
-fn sharded_suite(accesses: u64, reps: u32, stages: bool, shards: usize) -> Vec<Measurement> {
-    GOLDENS
-        .iter()
-        .map(|g| {
-            let mut m = measure_golden(
-                g,
-                format!("sharded_{}", g.name),
-                accesses,
-                reps,
-                stages,
-                shards,
-            );
-            // Record the count even at 1 — a sharded suite is
-            // self-describing by definition.
-            m.shards = Some(shards);
-            m
-        })
-        .collect()
-}
-
-/// The scaling curve: the graph golden at fixed shard counts, regardless
-/// of `--shards`, so the suite names in the JSON (and therefore the
-/// regression-gate matching) stay stable across hosts.
-fn scaling_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|n| {
-            let mut m = measure_golden(
-                &GOLDENS[0],
-                format!("scaling_graph_s{n}"),
-                accesses,
-                reps,
-                false,
-                n,
-            );
-            m.shards = Some(n);
-            m
-        })
+        .map(|g| measure_golden(g, accesses, reps, stages))
         .collect()
 }
 
 /// Generation-only suites: record the trace and stream it through
 /// `fill_chunk` into a reusable chunk — the exact producer work the
-/// overlapped driver hides behind simulation.
+/// chunked driver interleaves with simulation.
 fn gen_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
     GOLDENS
         .iter()
@@ -235,7 +201,6 @@ fn gen_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
                 gen_ns: best,
                 sim_ns: 0,
                 stages: None,
-                shards: None,
             }
         })
         .collect()
@@ -274,7 +239,6 @@ fn loaded_off_suite(accesses: u64, reps: u32, stages: bool) -> Measurement {
         gen_ns: 0,
         sim_ns: wall,
         stages: st,
-        shards: None,
     }
 }
 
@@ -310,17 +274,15 @@ fn micro_suite(accesses: u64, reps: u32) -> Measurement {
         gen_ns: 0,
         sim_ns: best,
         stages: None,
-        shards: None,
     }
 }
 
-fn render_json(ms: &[Measurement], run_shards: usize) -> String {
-    let mut out = format!("{{\n  \"shards\": {run_shards},\n  \"suites\": [\n");
+fn render_json(ms: &[Measurement]) -> String {
+    let mut out = String::from("{\n  \"suites\": [\n");
     for (i, m) in ms.iter().enumerate() {
-        // `stages` and `shards` (when present) must come before
-        // `accesses_per_sec`: the line-based `--check` parser takes
-        // everything after the `accesses_per_sec` key up to the line's
-        // closing braces.
+        // `stages` (when present) must come before `accesses_per_sec`:
+        // the line-based `--check` parser takes everything after the
+        // `accesses_per_sec` key up to the line's closing braces.
         let stages = m.stages.map_or(String::new(), |s| {
             format!(
                 "\"stages\": {{\"translate_ns\": {}, \"llc_ns\": {}, \
@@ -329,12 +291,9 @@ fn render_json(ms: &[Measurement], run_shards: usize) -> String {
                 s.translate_ns, s.llc_ns, s.bill_ns, s.tracker_ns, s.blocks, s.staged_accesses
             )
         });
-        let shards = m
-            .shards
-            .map_or(String::new(), |n| format!("\"shards\": {n}, "));
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"accesses\": {}, \"wall_ns\": {}, \
-             \"gen_ns\": {}, \"sim_ns\": {}, {}{}\
+             \"gen_ns\": {}, \"sim_ns\": {}, {}\
              \"accesses_per_sec\": {:.0}}}{}\n",
             m.name,
             m.accesses,
@@ -342,26 +301,11 @@ fn render_json(ms: &[Measurement], run_shards: usize) -> String {
             m.gen_ns,
             m.sim_ns,
             stages,
-            shards,
             m.accesses_per_sec(),
             if i + 1 < ms.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// The stand-alone scaling artifact (`--scaling-out`): one
-/// `shards accesses_per_sec` line per scaling point.
-fn render_scaling(ms: &[Measurement]) -> String {
-    let mut out = String::from("# shards accesses_per_sec (graph golden, sim-only)\n");
-    for m in ms.iter().filter(|m| m.name.starts_with("scaling_")) {
-        out.push_str(&format!(
-            "{} {:.0}\n",
-            m.shards.unwrap_or(1),
-            m.accesses_per_sec()
-        ));
-    }
     out
 }
 
@@ -446,19 +390,12 @@ fn main() {
         .unwrap_or(3);
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_throughput.json".into());
     let stages = std::env::args().any(|a| a == "--stages");
-    let shards: usize = arg_value("--shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
-    rayon::set_num_threads(shards.max(8)); // wide enough for the s8 scaling point
 
     m5_bench::banner(
         "throughput",
         "wall-clock accesses/sec of the access pipeline",
     );
     let mut ms = golden_suite(accesses, reps, stages);
-    ms.extend(sharded_suite(accesses, reps, stages, shards));
-    ms.extend(scaling_suite(accesses, reps));
     ms.extend(gen_suite(accesses, reps));
     ms.push(loaded_off_suite(accesses, reps, stages));
     ms.push(micro_suite(accesses, reps));
@@ -481,13 +418,9 @@ fn main() {
         }
     }
 
-    let json = render_json(&ms, shards);
+    let json = render_json(&ms);
     std::fs::write(&out_path, &json).expect("write throughput json");
     println!("wrote {out_path}");
-    if let Some(path) = arg_value("--scaling-out") {
-        std::fs::write(&path, render_scaling(&ms)).expect("write scaling artifact");
-        println!("wrote {path}");
-    }
 
     if let Some(baseline) = arg_value("--check") {
         match check_against(&baseline, &ms) {

@@ -3,7 +3,8 @@
 //! Runs the default campaign set (seeded chaos mixes, clean-room
 //! evacuations, and a squeezed-survivor drain) across the thread pool,
 //! prints the canonical artifact, and exits non-zero if any campaign
-//! violates the RAS contract.
+//! violates the RAS contract. Campaigns fan out over
+//! `RAYON_NUM_THREADS` workers (default: the host's core count).
 //!
 //! Flags:
 //! * `--long` — nightly scale: 4× the chaos seeds, larger access budgets.
@@ -11,9 +12,6 @@
 //! * `--accesses N` — override the per-campaign access budget (the
 //!   squeeze campaign keeps its own budget: it must outlive the
 //!   evacuation deadline).
-//! * `--shards N` — work-queue width and per-campaign simulation shard
-//!   count (default: available parallelism). Recorded in the artifact
-//!   header; campaign outcomes are byte-identical at every count.
 //! * `--out PATH` — also write the artifact to `PATH`.
 //! * `--resume DIR` — checkpoint each campaign into `DIR/<name>.ckpt`
 //!   periodically and resume any campaign whose checkpoint survives from
@@ -22,8 +20,8 @@
 //!   mode (default 100000).
 
 use m5_bench::soak::{
-    all_failures, artifact_with_shards, default_campaigns, run_campaign_resumable_sharded,
-    soak_parallel_sharded, CampaignReport, SoakScenario, SoakSpec,
+    all_failures, artifact, default_campaigns, run_campaign_resumable, soak_parallel,
+    CampaignReport, SoakScenario, SoakSpec,
 };
 use std::path::PathBuf;
 
@@ -39,26 +37,14 @@ fn flag_str(args: &[String], flag: &str) -> Option<String> {
 
 /// Resume-mode driver: sequential (each campaign owns one checkpoint
 /// file; a resumed run must see the file its predecessor left).
-fn soak_resumable(
-    specs: &[SoakSpec],
-    dir: &PathBuf,
-    every: u64,
-    shards: usize,
-) -> Vec<CampaignReport> {
+fn soak_resumable(specs: &[SoakSpec], dir: &PathBuf, every: u64) -> Vec<CampaignReport> {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create checkpoint dir {}: {e}", dir.display());
         std::process::exit(2);
     }
     specs
         .iter()
-        .map(|s| {
-            run_campaign_resumable_sharded(
-                *s,
-                &dir.join(format!("{}.ckpt", s.name())),
-                every,
-                shards,
-            )
-        })
+        .map(|s| run_campaign_resumable(*s, &dir.join(format!("{}.ckpt", s.name())), every))
         .collect()
 }
 
@@ -85,20 +71,15 @@ fn main() {
             }
         }
     }
-    let shards = flag_value(&args, "--shards")
-        .map(|n| n as usize)
-        .unwrap_or_else(rayon::current_num_threads)
-        .max(1);
-    rayon::set_num_threads(shards);
 
     let reports = match flag_str(&args, "--resume") {
         Some(dir) => {
             let every = flag_value(&args, "--checkpoint-every").unwrap_or(100_000);
-            soak_resumable(&specs, &PathBuf::from(dir), every, shards)
+            soak_resumable(&specs, &PathBuf::from(dir), every)
         }
-        None => soak_parallel_sharded(&specs, shards),
+        None => soak_parallel(&specs),
     };
-    let text = artifact_with_shards(&reports, shards);
+    let text = artifact(&reports);
     print!("{text}");
     if let Some(i) = args.iter().position(|a| a == "--out") {
         if let Some(path) = args.get(i + 1) {

@@ -172,12 +172,13 @@ where
     Ok((resumed, loaded.fell_back))
 }
 
-/// Drives the run to `target` *total* accesses with the sequential
-/// chunked loop. Unlike the overlapped driver, the workload cursor never
-/// runs ahead of the simulation — which is what lets a mid-run checkpoint
-/// record a cursor the restored run resumes from exactly. Chunk capacity
-/// matches the overlapped driver's, so wakeup and fault interleaving (and
-/// therefore the final report) are byte-identical to `run_overlapped`.
+/// Drives the run to `target` *total* accesses with the chunked loop of
+/// `cxl_sim::system::run_chunked`. The budget caps every fill, so the
+/// workload cursor never runs ahead of the simulation — which is what lets
+/// a mid-run checkpoint record a cursor the restored run resumes from
+/// exactly. Chunk capacity matches `cxl_sim::system::run`'s, so wakeup and
+/// fault interleaving (and therefore the final report) are byte-identical
+/// to an uninterrupted `run`.
 pub fn drive_to<W>(
     sys: &mut System,
     m5: &mut M5Manager,

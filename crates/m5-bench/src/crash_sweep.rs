@@ -15,7 +15,6 @@
 //! `tests/crash_sweep.rs`; CI runs them in release mode and uploads the
 //! per-point failure reports (`M5_SWEEP_ARTIFACTS=<dir>`) when they fail.
 
-use crate::pipeline::run_overlapped;
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::journal::RecoveryReport;
 use cxl_sim::prelude::*;
@@ -102,7 +101,7 @@ fn run_spec(s: &SweepSpec, plan: &FaultPlan, at_step: Option<u64>) -> SweepRun {
     };
     let mut wl = spec.build(region.base, s.accesses, s.seed);
     let mut m5 = M5Manager::new(M5Config::default());
-    let report = run_overlapped(&mut sys, &mut wl, &mut m5, s.accesses);
+    let report = cxl_sim::system::run(&mut sys, &mut wl, &mut m5, s.accesses);
     // A reset that strikes after the manager's last epoch leaves the
     // engine fenced at exit; recovery is then the *next* run's first act,
     // which the sweep performs here so invariants are checked post-replay.
@@ -149,9 +148,8 @@ pub struct SweepSeed {
     pub accesses: u64,
 }
 
-/// Runs `s` fault-free to `at_accesses` with the sequential chunked
-/// driver (byte-identical to the overlapped one) and captures the seed
-/// snapshot.
+/// Runs `s` fault-free to `at_accesses` with the chunked driver and
+/// captures the seed snapshot.
 pub fn seed_checkpoint(s: &SweepSpec, at_accesses: u64) -> SweepSeed {
     use crate::checkpoint as ck;
     let spec = s.benchmark.spec();

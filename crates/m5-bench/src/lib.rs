@@ -23,9 +23,7 @@ pub mod crash_sweep;
 pub mod golden;
 pub mod loaded;
 pub mod parallel;
-pub mod pipeline;
 pub mod results;
-pub mod sharded;
 pub mod soak;
 
 use cxl_sim::prelude::*;

@@ -120,8 +120,8 @@ fn golden_spec_restore_equals_continue() {
     assert_restore_equals_continue(&GOLDENS[2], 100_000);
 }
 
-/// The chunked driver the checkpoint harness uses must itself be
-/// byte-identical to the overlapped driver the golden suite runs — the
+/// The stepped chunked driver the checkpoint harness uses must itself be
+/// byte-identical to the `run` call the golden suite makes — the
 /// quiescent (checkpoint-free) path is exactly the committed goldens.
 #[test]
 fn chunked_driver_matches_the_golden_harness() {

@@ -1,13 +1,15 @@
-//! Batch-driver determinism: the chunked and overlapped drivers must be
+//! Batch-driver determinism: the chunked driver must be
 //! **byte-identical** to the per-access reference loop.
 //!
 //! Equality is asserted on the strongest observable evidence the system
 //! produces: the rendered golden-format telemetry snapshot (every
-//! counter, gauge, and histogram percentile) plus the debug-formatted
-//! `RunReport`. Any divergence in fault servicing, epoch timing, TLB
-//! flush cadence, daemon wake order, or latency accounting shows up
-//! here — at chunk size 1 (every access is its own batch), at sizes
-//! that misalign with every internal cadence, and at the default.
+//! counter, gauge, and histogram percentile), the debug-formatted
+//! `RunReport`, and the workload's next access after the run (the cursor
+//! contract resumed-stream protocols rely on). Any divergence in fault
+//! servicing, epoch timing, TLB flush cadence, daemon wake order, or
+//! latency accounting shows up here — at chunk size 1 (every access is
+//! its own batch), at sizes that misalign with every internal cadence,
+//! and at the default.
 //!
 //! `run_per_access` is kept in-tree precisely as this test's oracle.
 
@@ -17,7 +19,6 @@ use cxl_sim::report::RunReport;
 use cxl_sim::system::{run_chunked, run_per_access};
 use m5_baselines::anb::{Anb, AnbConfig};
 use m5_bench::golden::{self, GOLDENS};
-use m5_bench::pipeline::run_overlapped_chunked;
 use m5_core::manager::{M5Config, M5Manager};
 use m5_workloads::access::ReplayWorkload;
 
@@ -30,85 +31,85 @@ const ACCESSES: u64 = 60_000;
 /// prime, 4096 is the default.
 const CAPS: [usize; 4] = [1, 7, 509, 4096];
 
-type BoxedDaemon = Box<dyn MigrationDaemon + Send>;
-type Driver =
-    dyn Fn(&mut System, &mut ReplayWorkload, &mut (dyn MigrationDaemon + Send), u64) -> RunReport;
+/// A budget that is a multiple of no chunk capacity above 1, so the
+/// budget stop always lands inside a partly filled chunk.
+const MID_STREAM_BUDGET: u64 = 30_011;
 
-/// Runs one workload under `daemon_new()` with telemetry enabled and the
-/// given driver, returning the full rendered snapshot + report.
-/// `contended` enables the queueing timing model with that CXL background
-/// load — the determinism contract must hold with contention state in the
-/// loop too.
-#[allow(clippy::too_many_arguments)]
-fn observe(
-    spec: &m5_workloads::registry::WorkloadSpec,
-    plan: &FaultPlan,
+type BoxedDaemon = Box<dyn MigrationDaemon>;
+type Driver = dyn Fn(&mut System, &mut ReplayWorkload, &mut dyn MigrationDaemon, u64) -> RunReport;
+
+/// One driver input: the workload, its seed, the recorded stream length,
+/// and the access budget the driver runs under (`stream >= budget`; a
+/// longer stream makes the budget, not the trace, end the run).
+#[derive(Clone, Copy)]
+struct Input<'a> {
+    spec: &'a m5_workloads::registry::WorkloadSpec,
     seed: u64,
-    accesses: u64,
+    stream: u64,
+    budget: u64,
+}
+
+impl<'a> Input<'a> {
+    /// A stream exactly as long as the budget.
+    fn full(spec: &'a m5_workloads::registry::WorkloadSpec, seed: u64, accesses: u64) -> Self {
+        Input {
+            spec,
+            seed,
+            stream: accesses,
+            budget: accesses,
+        }
+    }
+}
+
+/// Runs one input under `daemon_new()` with telemetry enabled and the
+/// given driver, returning the full rendered snapshot, the report, and
+/// the workload's next access after the run. `contended` enables the
+/// queueing timing model with that CXL background load — the determinism
+/// contract must hold with contention state in the loop too.
+fn observe(
+    input: Input<'_>,
+    plan: &FaultPlan,
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
     drive: &Driver,
-) -> (String, String) {
+) -> (String, String, Option<Access>) {
+    let spec = input.spec;
     let (mut sys, region) = match contended {
         Some(bg) => m5_bench::standard_contended_system_with_faults(spec, plan, bg),
         None => m5_bench::standard_system_with_faults(spec, plan),
     };
     sys.install_telemetry(Telemetry::enabled());
-    let mut wl = spec.build(region.base, accesses, seed);
+    let mut wl = spec.build(region.base, input.stream, input.seed);
     let mut daemon = daemon_new();
-    let report = drive(&mut sys, &mut wl, daemon.as_mut(), accesses);
+    let report = drive(&mut sys, &mut wl, daemon.as_mut(), input.budget);
+    assert_eq!(
+        report.accesses, input.budget,
+        "stream ended before the budget"
+    );
     sys.telemetry_mut().flush();
     let snap = golden::render("determinism", &sys.telemetry().snapshot());
-    (snap, format!("{report:?}"))
+    (snap, format!("{report:?}"), wl.next_access())
 }
 
-/// Asserts every chunked/overlapped variant matches the per-access
-/// reference for one (spec, plan, daemon) configuration.
-#[allow(clippy::too_many_arguments)]
+/// Asserts the chunked driver matches the per-access reference at every
+/// chunk capacity for one (input, plan, daemon) configuration.
 fn assert_all_drivers_match(
     label: &str,
-    spec: &m5_workloads::registry::WorkloadSpec,
+    input: Input<'_>,
     plan: &FaultPlan,
-    seed: u64,
-    accesses: u64,
     contended: Option<f64>,
     daemon_new: &dyn Fn() -> BoxedDaemon,
 ) {
-    let reference = observe(
-        spec,
-        plan,
-        seed,
-        accesses,
-        contended,
-        daemon_new,
-        &|s, w, d, m| run_per_access(s, w, d, m),
-    );
+    let reference = observe(input, plan, contended, daemon_new, &|s, w, d, m| {
+        run_per_access(s, w, d, m)
+    });
     for cap in CAPS {
-        let chunked = observe(
-            spec,
-            plan,
-            seed,
-            accesses,
-            contended,
-            daemon_new,
-            &move |s, w, d, m| run_chunked(s, w, d, m, cap),
-        );
+        let chunked = observe(input, plan, contended, daemon_new, &move |s, w, d, m| {
+            run_chunked(s, w, d, m, cap)
+        });
         assert_eq!(
             chunked, reference,
             "{label}: run_chunked(cap={cap}) diverged from per-access"
-        );
-        let overlapped = observe(
-            spec,
-            plan,
-            seed,
-            accesses,
-            contended,
-            daemon_new,
-            &move |s, w, d, m| run_overlapped_chunked(s, w, d, m, cap),
-        );
-        assert_eq!(
-            overlapped, reference,
-            "{label}: run_overlapped(cap={cap}) diverged from per-access"
         );
     }
 }
@@ -126,10 +127,8 @@ fn golden_workloads_match_per_access_at_every_chunk_size() {
         let spec = g.benchmark.spec();
         assert_all_drivers_match(
             g.name,
-            &spec,
+            Input::full(&spec, g.seed, ACCESSES),
             &FaultPlan::none(),
-            g.seed,
-            ACCESSES,
             None,
             &m5_daemon,
         );
@@ -167,7 +166,13 @@ fn fault_plan_runs_match_per_access_at_every_chunk_size() {
                 duration: Nanos::from_micros(400),
             },
         );
-    assert_all_drivers_match("faulted-spec", &spec, &plan, 42, 40_000, None, &m5_daemon);
+    assert_all_drivers_match(
+        "faulted-spec",
+        Input::full(&spec, 42, 40_000),
+        &plan,
+        None,
+        &m5_daemon,
+    );
 }
 
 /// ANB unmaps pages and relies on NUMA hinting faults delivered through
@@ -180,10 +185,8 @@ fn anb_hinting_fault_path_matches_per_access() {
     let spec = GOLDENS[0].benchmark.spec();
     assert_all_drivers_match(
         "anb-graph",
-        &spec,
+        Input::full(&spec, 42, ACCESSES),
         &FaultPlan::none(),
-        42,
-        ACCESSES,
         None,
         &|| Box::new(Anb::new(AnbConfig::default())),
     );
@@ -199,11 +202,40 @@ fn contended_runs_match_per_access_at_every_chunk_size() {
     let spec = g.benchmark.spec();
     assert_all_drivers_match(
         "contended-graph",
-        &spec,
+        Input::full(&spec, g.seed, ACCESSES),
         &FaultPlan::none(),
-        g.seed,
-        ACCESSES,
         Some(0.7),
+        &m5_daemon,
+    );
+}
+
+/// A budget that ends the run in the middle of a stream twice its length,
+/// inside a partly filled chunk at every capacity: the chunked driver
+/// must stop on exactly the same access as the per-access loop and leave
+/// the workload cursor on the same next access, so a protocol that
+/// resumes the stream (the §4.1 ratio protocol) sees identical input.
+#[test]
+fn budget_stop_mid_stream_matches_per_access() {
+    let g = &GOLDENS[1];
+    let spec = g.benchmark.spec();
+    let input = Input {
+        spec: &spec,
+        seed: g.seed,
+        stream: 2 * MID_STREAM_BUDGET,
+        budget: MID_STREAM_BUDGET,
+    };
+    for cap in CAPS.into_iter().filter(|&c| c > 1) {
+        assert_ne!(
+            MID_STREAM_BUDGET % cap as u64,
+            0,
+            "budget aligns with cap {cap}"
+        );
+    }
+    assert_all_drivers_match(
+        "budget-stop-kv",
+        input,
+        &FaultPlan::none(),
+        None,
         &m5_daemon,
     );
 }
