@@ -937,7 +937,7 @@ mod tests {
         assert!(e.to_string().contains('2'));
         let e = CheckpointError::Io {
             context: "writing tmp image".into(),
-            source: io::Error::new(io::ErrorKind::Other, "disk on fire"),
+            source: io::Error::other("disk on fire"),
         };
         assert!(e.to_string().contains("disk on fire"));
         let e = section_err("ras")(CodecError::Truncated { need: 8, have: 0 });

@@ -25,21 +25,18 @@
 //! attributable to the application.
 
 use crate::addr::{CacheLineAddr, Pfn, VirtAddr, Vpn, WordIndex, WORDS_PER_PAGE};
-use crate::cache::{Llc, LlcSetScratch, NO_WRITEBACK, REQ_WRITE_BIT};
-use crate::chunk::{
-    word_is_op_end, word_is_write, word_vaddr, AccessChunk, CHUNK_ADDR_MASK, CHUNK_OP_END_BIT,
-    CHUNK_WRITE_BIT,
-};
+use crate::cache::Llc;
+use crate::chunk::{word_is_op_end, word_is_write, word_vaddr, AccessChunk};
 use crate::config::{Placement, SystemConfig};
 use crate::contention::{Contention, TrafficClass};
-use crate::controller::{CxlController, CxlDevice, DeviceHandle, SnoopEvent};
+use crate::controller::{CxlController, CxlDevice, DeviceHandle};
 use crate::faults::{DeviceFault, FaultClass, FaultEvent, FaultInjector, FaultPlan, SimError};
 use crate::journal::{MigrationJournal, RecoveryReport, TxnId, TxnState};
 use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::{NodeId, OutOfFrames, TieredMemory, CXL_BASE_PFN};
 use crate::mglru::MgLru;
 use crate::migration::{BatchOutcome, MigrateError, MigrationStats};
-use crate::paging::{PageTable, PteFlags};
+use crate::paging::PageTable;
 use crate::perfmon::{BandwidthStats, PerfMonitor};
 use crate::ras::{EvacuationReport, NodeHealth, RasState};
 use crate::report::{HealthReport, LatencyHistogram, RunReport};
@@ -255,48 +252,25 @@ fn node_idx(node: NodeId) -> usize {
     }
 }
 
-/// Page-table prefetch distance of the staged translate pass: far enough
-/// ahead to overlap the PTE fill with the current run's work.
-const PT_LOOKAHEAD: usize = 16;
-
-/// Reusable struct-of-arrays scratch for the staged batch engine
-/// ([`System::staged_block`]). Pure working memory: cleared at every use,
-/// observable state never passes through it, and it is deliberately absent
-/// from checkpoints — a restored system with empty scratch behaves
-/// identically.
-#[derive(Debug, Default)]
-struct StagedScratch {
-    /// Packed per-access LLC requests: line address | [`REQ_WRITE_BIT`].
-    reqs: Vec<u64>,
-    /// Pre-LLC latency (hinting fault + page walk) per access, ns.
-    base_lat: Vec<u64>,
-    /// Per-access LLC hit flags (stage 2 output).
-    hits: Vec<bool>,
-    /// Per-access dirty-victim lines ([`NO_WRITEBACK`] when none).
-    wbs: Vec<u64>,
-    /// CXL snoops deferred within the block, flushed in stage 4.
-    snoops: Vec<SnoopEvent>,
-    /// Counting-sort scratch for the set-grouped LLC probe.
-    llc: LlcSetScratch,
-}
-
-/// Cumulative wall-clock spent in each staged pass, recorded only after
-/// [`System::enable_stage_timing`] (opt-in for benchmark harnesses that
-/// report a per-stage breakdown; timing syscalls are not free on the hot
-/// path).
+/// Per-pass wall-clock breakdown of the staged access engine, which the
+/// simulator no longer has.
+///
+/// The quiet path is one fused scalar loop with no separate translate,
+/// LLC, billing or tracker passes to time. This type,
+/// [`System::enable_stage_timing`] and [`System::stage_times`] remain only
+/// so benchmark harnesses written against them keep compiling:
+/// [`System::stage_times`] always returns `None`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
-    /// Stage 1 — translate: paging, TLB, PTE-flag accumulation. Nanoseconds.
+    /// Translate pass, nanoseconds.
     pub translate_ns: u64,
-    /// Stage 2 — set-grouped LLC probe. Nanoseconds.
+    /// LLC probe pass, nanoseconds.
     pub llc_ns: u64,
-    /// Stage 3 — latency classification and billing. Nanoseconds.
+    /// Billing pass, nanoseconds.
     pub bill_ns: u64,
-    /// Stage 4 — batched tracker/snoop feed. Nanoseconds.
+    /// Tracker feed pass, nanoseconds.
     pub tracker_ns: u64,
-    /// Staged blocks executed.
-    pub blocks: u64,
-    /// Accesses that went through the staged path (vs the scalar loop).
+    /// Accesses that went through the staged passes.
     pub staged_accesses: u64,
 }
 
@@ -341,10 +315,6 @@ pub struct System {
     /// Whether the current evacuation already noted survivor-capacity
     /// exhaustion (one degradation entry per evacuation, not per epoch).
     evac_exhaustion_noted: bool,
-    /// SoA scratch for the staged batch engine; transient, not checkpointed.
-    staged: StagedScratch,
-    /// Per-stage wall-clock accounting, when enabled (boxed: cold field).
-    stage_times: Option<Box<StageTimes>>,
 }
 
 impl System {
@@ -392,8 +362,6 @@ impl System {
             ras: RasState::new(config.ras),
             evac_span: None,
             evac_exhaustion_noted: false,
-            staged: StagedScratch::default(),
-            stage_times: None,
             config,
         }
     }
@@ -919,317 +887,12 @@ impl System {
         })
     }
 
-    /// Turns on per-stage wall-clock accounting for the staged batch
-    /// engine. Opt-in: two monotonic-clock reads per stage are not free on
-    /// the hot path, so the default build pays only one branch per block.
-    pub fn enable_stage_timing(&mut self) {
-        self.stage_times = Some(Box::default());
-    }
+    /// Does nothing; see [`StageTimes`].
+    pub fn enable_stage_timing(&mut self) {}
 
-    /// Cumulative staged-pass timings, if enabled.
+    /// Always `None`; see [`StageTimes`].
     pub fn stage_times(&self) -> Option<&StageTimes> {
-        self.stage_times.as_deref()
-    }
-
-    /// Strict upper bound on a single *non-faulting* quiet-segment
-    /// access's latency: every additive term of [`System::access_core`]
-    /// at its maximum — page walk, LLC hit, the slower node's fill, plus
-    /// the contention cap. Fault and RAS extras are zero by the caller's
-    /// quiescence proof.
-    ///
-    /// The hinting-fault cost is deliberately excluded even though a
-    /// faulting access bills it: a hinting fault *terminates* the staged
-    /// block (and the batch), so a faulting access's clock advance never
-    /// contributes to a later access's start time. Block sizing only
-    /// needs every access to **start** before the horizon, and start
-    /// times are sums of preceding non-faulting advances — all bounded by
-    /// this value. Including the (20–30× larger) fault cost would shrink
-    /// blocks by an order of magnitude for a case that cannot gate them.
-    ///
-    /// The bound holds for a whole batch: node latencies are
-    /// configuration, and contention's standing delay only moves at
-    /// rollover, which happens at daemon ticks, never mid-batch.
-    fn quiet_access_bound(&self) -> Nanos {
-        let c = self.config.costs;
-        let mut b = c.page_walk + c.llc_hit;
-        b += self
-            .memory
-            .node(NodeId::Ddr)
-            .access_latency()
-            .max(self.memory.node(NodeId::Cxl).access_latency());
-        if self.contention_on {
-            b += self
-                .contention
-                .demand_delay_bound(NodeId::Ddr)
-                .max(self.contention.demand_delay_bound(NodeId::Cxl));
-        }
-        b
-    }
-
-    /// Runs a quiet-segment block through the four staged struct-of-arrays
-    /// passes: translate, set-grouped LLC probe, in-order billing, batched
-    /// tracker feed. Returns how many accesses executed (the whole block,
-    /// unless a hinting fault cut it short) and the faulting VPN, if any.
-    ///
-    /// The caller guarantees every access in `words` *starts* before its
-    /// horizon (via [`System::quiet_access_bound`]), the injector is
-    /// quiescent, and no TLB flush is due — the same preconditions as the
-    /// scalar `access_core(.., false)` loop this replaces.
-    ///
-    /// ## Why the staging is byte-identical to the scalar loop
-    ///
-    /// Within a quiescent segment the per-access mutations partition:
-    ///
-    /// * **TLB + PTE flags** are touched only by translate logic. The TLB
-    ///   evolves from the VPN sequence alone, which stage 1 replays in
-    ///   order. Flag bits only accumulate (OR) within a segment and
-    ///   nothing reads the page table until the next pause, so storing
-    ///   once per page run instead of per access leaves identical state.
-    /// * **LLC** state depends only on the `(line, is_write)` sequence;
-    ///   see [`Llc::access_grouped`] for why set-grouping preserves it.
-    /// * **Clock, contention, perfmon, telemetry, op latencies** are
-    ///   billed by stage 3 strictly in access order with the same
-    ///   pre-advance `now` per access, reproducing the exact clock
-    ///   evolution — stages 1–2 never advance the clock.
-    /// * **Snoop devices** are only read at daemon ticks (pauses), and
-    ///   each sees its `(line, is_write, now)` sequence unchanged, so
-    ///   deferring delivery to stage 4 is invisible (devices are mutually
-    ///   independent; see [`CxlController::snoop_batch`]).
-    fn staged_block(&mut self, words: &[u64], st: &mut BatchState) -> (usize, Option<Vpn>) {
-        let timing = self.stage_times.is_some();
-        let mut s = std::mem::take(&mut self.staged);
-        let costs = self.config.costs;
-
-        // Stage 1: translate every address, accumulating PTE flags per
-        // page run and storing them once.
-        let t0 = timing.then(std::time::Instant::now);
-        s.reqs.clear();
-        s.base_lat.clear();
-        let mut cut = words.len();
-        let mut fault_vpn = None;
-        let mut cur_vpn: Option<Vpn> = None;
-        let mut cur_pfn = Pfn(0);
-        // Dummy until the first page run begins (cur_vpn is None).
-        let mut cur_flags = PteFlags::new_mapped();
-        let mut orig_flags = cur_flags;
-        for (i, &w) in words.iter().enumerate() {
-            let vaddr = word_vaddr(w);
-            let vpn = vaddr.vpn();
-            if cur_vpn == Some(vpn) {
-                // In-page continuation: the run's first access proved the
-                // page present (a hinting fault there truncates the block,
-                // so no continuation exists) and left this VPN most
-                // recently used in its TLB set via lookup-hit or insert —
-                // with no intervening TLB traffic, the hit is certain and
-                // its move-to-front a no-op. Only the hit counter, the
-                // accumulated dirty bit, and the LLC request remain.
-                self.tlb.repeat_hit();
-                let is_write = word_is_write(w);
-                if is_write {
-                    cur_flags = cur_flags.with_dirty();
-                }
-                let line = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line();
-                s.reqs
-                    .push(line.0 | if is_write { REQ_WRITE_BIT } else { 0 });
-                s.base_lat.push(0);
-                continue;
-            }
-            if let Some(&wa) = words.get(i + PT_LOOKAHEAD) {
-                self.page_table.prefetch(word_vaddr(wa).vpn());
-            }
-            if let Some(pv) = cur_vpn {
-                if cur_flags != orig_flags {
-                    self.page_table.store_flags(pv, cur_flags);
-                }
-            }
-            let pte = match self.page_table.get(vpn) {
-                Some(p) => *p,
-                None => panic!("{}", SimError::Unmapped(vaddr)),
-            };
-            cur_vpn = Some(vpn);
-            cur_pfn = pte.pfn;
-            cur_flags = pte.flags;
-            orig_flags = pte.flags;
-            let mut lat = 0u64;
-            let mut hint = false;
-            if !cur_flags.present() {
-                hint = true;
-                self.hinting_faults += 1;
-                self.bill_kernel(CostKind::HintingFault, costs.hinting_fault);
-                lat += costs.hinting_fault.0;
-                cur_flags = cur_flags.with_present();
-            }
-            if !self.tlb.lookup(vpn) {
-                lat += costs.page_walk.0;
-                cur_flags = cur_flags.with_accessed();
-                self.tlb.insert(vpn);
-            }
-            let is_write = word_is_write(w);
-            if is_write {
-                cur_flags = cur_flags.with_dirty();
-            }
-            let line = cur_pfn.word(WordIndex(vaddr.word_index().0)).cache_line();
-            s.reqs
-                .push(line.0 | if is_write { REQ_WRITE_BIT } else { 0 });
-            s.base_lat.push(lat);
-            if hint {
-                // The batch pauses after a hinting fault (the driver
-                // delivers it to the daemon); truncate the block here.
-                cut = i + 1;
-                fault_vpn = Some(vpn);
-                break;
-            }
-        }
-        if let Some(pv) = cur_vpn {
-            if cur_flags != orig_flags {
-                self.page_table.store_flags(pv, cur_flags);
-            }
-        }
-
-        // Stage 2: probe the LLC for the whole block, set-grouped.
-        let t1 = timing.then(std::time::Instant::now);
-        self.llc
-            .access_grouped(&s.reqs, &mut s.hits, &mut s.wbs, &mut s.llc);
-
-        // Stages 3–4: classify, bill, and feed the trackers.
-        let t2 = timing.then(std::time::Instant::now);
-        if let (Some(ts), Some(t0), Some(t1), Some(t2)) =
-            (self.stage_times.as_deref_mut(), t0, t1, t2)
-        {
-            ts.translate_ns += (t1 - t0).as_nanos() as u64;
-            ts.llc_ns += (t2 - t1).as_nanos() as u64;
-        }
-        self.staged_bill(words, cut, fault_vpn.is_some(), st, &mut s);
-        self.staged = s;
-        (cut, fault_vpn)
-    }
-
-    /// Stages 3–4 of the staged engine ([`System::staged_block`]): classify
-    /// and bill the first `cut` accesses strictly in access order (the
-    /// clock, contention model, perfmon, and telemetry all observe the
-    /// exact per-access sequence), then flush the deferred snoops to the
-    /// tracker devices in one batched fan-out. `faulted` is whether the
-    /// block was truncated by a hinting fault (for the telemetry counter).
-    fn staged_bill(
-        &mut self,
-        words: &[u64],
-        cut: usize,
-        faulted: bool,
-        st: &mut BatchState,
-        s: &mut StagedScratch,
-    ) {
-        let timing = self.stage_times.is_some();
-        let t2 = timing.then(std::time::Instant::now);
-        let costs = self.config.costs;
-        let node_lat = [
-            self.memory.node(NodeId::Ddr).access_latency(),
-            self.memory.node(NodeId::Cxl).access_latency(),
-        ];
-        s.snoops.clear();
-        // The clock lives in a register for the whole pass, and every
-        // telemetry counter below is a pure sum — accumulating the block's
-        // deltas locally and merging them once leaves `batch` and the
-        // clock in exactly the per-access state (histograms still record
-        // per access; their state is commutative counters either way).
-        let now0 = self.clock.now();
-        let mut now = now0;
-        let mut acc = [0u64; 2];
-        let mut llc_hm = [0u64; 2];
-        let mut dram_reads = [0u64; 2];
-        let mut dram_wbs = [0u64; 2];
-        let mut snoops_rw = [0u64; 2];
-        for (i, &w) in words.iter().enumerate().take(cut) {
-            let req = s.reqs[i];
-            let line = CacheLineAddr(req & !REQ_WRITE_BIT);
-            let is_write = req & REQ_WRITE_BIT != 0;
-            let hit = s.hits[i];
-            let mut latency = Nanos(s.base_lat[i]) + costs.llc_hit;
-            let mut dram_node = None;
-            if !hit {
-                let node = NodeId::of_pfn(line.pfn());
-                latency += node_lat[node_idx(node)];
-                self.perfmon.record_read(node);
-                if self.contention_on {
-                    let extra = self.contention.demand_delay(node, now);
-                    latency += extra;
-                    if self.telemetry_on {
-                        self.batch.contention_extra[node_idx(node)].record(extra.0);
-                    }
-                }
-                if node == NodeId::Cxl {
-                    s.snoops.push(SnoopEvent {
-                        line,
-                        is_write: false,
-                        now,
-                    });
-                    snoops_rw[0] += 1;
-                }
-                dram_node = Some(node);
-            }
-            if s.wbs[i] != NO_WRITEBACK {
-                let wb = CacheLineAddr(s.wbs[i]);
-                let wb_node = NodeId::of_pfn(wb.pfn());
-                self.perfmon.record_writeback(wb_node);
-                if self.contention_on {
-                    self.contention.writeback(wb_node, now);
-                }
-                dram_wbs[node_idx(wb_node)] += 1;
-                if wb_node == NodeId::Cxl {
-                    s.snoops.push(SnoopEvent {
-                        line: wb,
-                        is_write: true,
-                        now,
-                    });
-                    snoops_rw[1] += 1;
-                }
-            }
-            acc[is_write as usize] += 1;
-            llc_hm[!hit as usize] += 1;
-            match dram_node {
-                Some(node) => {
-                    dram_reads[node_idx(node)] += 1;
-                    if self.telemetry_on {
-                        self.batch.latency[BATCH_LAT_DDR + node_idx(node)].record(latency.0);
-                    }
-                }
-                None if self.telemetry_on => self.batch.latency[BATCH_LAT_LLC].record(latency.0),
-                None => {}
-            }
-            now += latency;
-            if word_is_op_end(w) {
-                st.record_op_end(now);
-            }
-        }
-        self.clock.advance(now - now0);
-        st.n += cut as u64;
-        if self.telemetry_on {
-            self.batch.pending = true;
-            self.batch.accesses[0] += acc[0];
-            self.batch.accesses[1] += acc[1];
-            self.batch.llc[0] += llc_hm[0];
-            self.batch.llc[1] += llc_hm[1];
-            self.batch.dram_reads[0] += dram_reads[0];
-            self.batch.dram_reads[1] += dram_reads[1];
-            self.batch.dram_writebacks[0] += dram_wbs[0];
-            self.batch.dram_writebacks[1] += dram_wbs[1];
-            self.batch.snoops[BATCH_SNOOP_READ] += snoops_rw[0];
-            self.batch.snoops[BATCH_SNOOP_WRITEBACK] += snoops_rw[1];
-            self.batch.hinting_faults += faulted as u64;
-        }
-
-        // Stage 4: flush the deferred snoops to the tracker devices in
-        // one batched fan-out.
-        let t3 = timing.then(std::time::Instant::now);
-        if !s.snoops.is_empty() {
-            self.controller.snoop_batch(&s.snoops);
-        }
-
-        if let (Some(ts), Some(t2), Some(t3)) = (self.stage_times.as_deref_mut(), t2, t3) {
-            ts.bill_ns += (t3 - t2).as_nanos() as u64;
-            ts.tracker_ns += t3.elapsed().as_nanos() as u64;
-            ts.blocks += 1;
-            ts.staged_accesses += cut as u64;
-        }
+        None
     }
 
     /// Executes accesses from `chunk` starting at index `from`, returning
@@ -1239,10 +902,11 @@ impl System {
     /// paying the epoch/fault/flush checks on every access, it computes the
     /// distance to the next *boundary* — the daemon's wake `deadline`, the
     /// periodic TLB flush, and the fault injector's next scheduled event —
-    /// once, and runs a tight loop of bare [`System::access_core`] calls up
-    /// to it. Accesses at or past a boundary fall back to the fully-checked
-    /// [`System::try_access`] path one at a time, so the observable
-    /// behaviour is identical to calling [`System::access`] in a loop.
+    /// once, and runs bare [`System::access_core`] calls up to it.
+    /// Accesses at or past a boundary, or made while the injector is not
+    /// quiescent, take the fully-checked [`System::try_access`] path one at
+    /// a time, so the observable behaviour is identical to calling
+    /// [`System::access`] in a loop.
     ///
     /// Sequencing contract (mirrors the per-access [`run`] loop):
     ///
@@ -1273,6 +937,9 @@ impl System {
         let words = chunk.words();
         let mut idx = from;
         let mut executed = false;
+        // Accesses starting before `quiet_until` skip the fault and flush
+        // checks; it is re-derived whenever the clock reaches it.
+        let mut quiet_until = Nanos::ZERO;
         loop {
             if idx >= words.len() {
                 return (idx, BatchPause::Chunk);
@@ -1280,88 +947,46 @@ impl System {
             if st.n >= max_accesses {
                 return (idx, BatchPause::Budget);
             }
-            if executed {
-                if let Some(d) = deadline {
-                    if self.clock.now() >= d {
-                        return (idx, BatchPause::Wake);
-                    }
-                }
-            }
-
-            // Hot segment: while the injector is provably quiescent and no
-            // flush or wake boundary has been reached, `service_faults`,
-            // the flush-interval check, and the per-access fault queries
-            // are all no-ops — skip them wholesale up to the horizon.
             let now = self.clock.now();
-            let quiet = self.faults.quiescent(now)
-                && self.ras.quiescent()
-                && self.fault_events_seen == self.faults.log().len()
-                && self.spike_span.is_none()
-                && self.stall_span.is_none()
-                && self.pressure_span.is_none();
-            if quiet {
-                let mut horizon = deadline.unwrap_or(Nanos(u64::MAX));
-                if let Some(interval) = self.config.tlb_flush_interval {
-                    horizon = horizon.min(self.last_tlb_flush + interval);
+            if now >= quiet_until {
+                if executed && deadline.is_some_and(|d| now >= d) {
+                    return (idx, BatchPause::Wake);
                 }
-                if let Some(at) = self.faults.next_scheduled() {
-                    horizon = horizon.min(at);
-                }
-                if now < horizon {
-                    // Staged fast path: bound how many accesses can start
-                    // before the horizon (each access advances the clock by
-                    // at most `quiet_access_bound`), and run that block
-                    // through the four SoA passes in one go. The bound is
-                    // conservative, so the block may undershoot the horizon
-                    // — the outer loop simply sizes another block.
-                    let avail = (words.len() - idx).min((max_accesses - st.n) as usize);
-                    let block = if horizon.0 == u64::MAX {
-                        avail
-                    } else {
-                        let u = self.quiet_access_bound().0.max(1);
-                        (((horizon.0 - 1 - now.0) / u) + 1).min(avail as u64) as usize
-                    };
-                    if block >= self.config.staged_min_block {
-                        let (done, fault) = self.staged_block(&words[idx..idx + block], st);
-                        idx += done;
-                        executed = true;
-                        if let Some(vpn) = fault {
-                            return (idx, BatchPause::Fault(vpn));
-                        }
-                        continue;
+                // Quiet segment: while the injector is provably quiescent
+                // and no flush or wake boundary has been reached,
+                // `service_faults`, the flush-interval check, and the
+                // per-access fault queries are all no-ops. The horizon is
+                // never past `deadline`, so no wake check is due inside it.
+                let quiet = self.faults.quiescent(now)
+                    && self.ras.quiescent()
+                    && self.fault_events_seen == self.faults.log().len()
+                    && self.spike_span.is_none()
+                    && self.stall_span.is_none()
+                    && self.pressure_span.is_none();
+                quiet_until = Nanos::ZERO;
+                if quiet {
+                    quiet_until = deadline.unwrap_or(Nanos(u64::MAX));
+                    if let Some(interval) = self.config.tlb_flush_interval {
+                        quiet_until = quiet_until.min(self.last_tlb_flush + interval);
                     }
-                    while idx < words.len() && st.n < max_accesses && self.clock.now() < horizon {
-                        let w = words[idx];
-                        let out = self
-                            .access_core(
-                                VirtAddr(w & CHUNK_ADDR_MASK),
-                                w & CHUNK_WRITE_BIT != 0,
-                                false,
-                            )
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        idx += 1;
-                        st.n += 1;
-                        if w & CHUNK_OP_END_BIT != 0 {
-                            st.record_op_end(self.clock.now());
-                        }
-                        if out.hinting_fault {
-                            return (idx, BatchPause::Fault(VirtAddr(w & CHUNK_ADDR_MASK).vpn()));
-                        }
+                    if let Some(at) = self.faults.next_scheduled() {
+                        quiet_until = quiet_until.min(at);
                     }
-                    executed = true;
-                    continue;
                 }
             }
 
-            // Boundary (or non-quiescent injector): one fully-checked
-            // access, then re-evaluate.
             let w = words[idx];
-            let vaddr = VirtAddr(w & CHUNK_ADDR_MASK);
-            let out = self.access(vaddr, w & CHUNK_WRITE_BIT != 0);
+            let vaddr = word_vaddr(w);
+            let out = if now < quiet_until {
+                self.access_core(vaddr, word_is_write(w), false)
+            } else {
+                self.try_access(vaddr, word_is_write(w))
+            }
+            .unwrap_or_else(|e| panic!("{e}"));
             idx += 1;
             st.n += 1;
             executed = true;
-            if w & CHUNK_OP_END_BIT != 0 {
+            if word_is_op_end(w) {
                 st.record_op_end(self.clock.now());
             }
             if out.hinting_fault {
@@ -2669,8 +2294,6 @@ impl System {
             ras,
             evac_span: None,
             evac_exhaustion_noted: misc.evac_exhaustion_noted,
-            staged: StagedScratch::default(),
-            stage_times: None,
             config,
         })
     }
@@ -2942,6 +2565,36 @@ impl ChunkedRun {
         self.st.n < max_accesses
     }
 
+    /// Refills `chunk` from `workload` and drives it: one step of the
+    /// chunked pipeline. The fill is capped at the budget left under
+    /// `max_accesses`, so the workload cursor never runs ahead of the
+    /// simulation. Returns `false`, without driving anything, once the
+    /// budget is spent or the stream has ended.
+    pub fn step<W, D>(
+        &mut self,
+        sys: &mut System,
+        workload: &mut W,
+        daemon: &mut D,
+        chunk: &mut AccessChunk,
+        max_accesses: u64,
+    ) -> bool
+    where
+        W: AccessStream + ?Sized,
+        D: MigrationDaemon + ?Sized,
+    {
+        if self.st.n >= max_accesses {
+            return false;
+        }
+        chunk.clear();
+        let left = max_accesses - self.st.n;
+        chunk.set_limit(left.min(chunk.capacity() as u64) as usize);
+        if workload.fill_chunk(chunk) == 0 {
+            return false;
+        }
+        self.drive(sys, daemon, chunk, max_accesses);
+        true
+    }
+
     /// Serializes the run driver (report baseline + op-latency state) for
     /// a checkpoint.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
@@ -3021,15 +2674,7 @@ where
 {
     let mut run = ChunkedRun::begin(sys, daemon);
     let mut chunk = AccessChunk::with_capacity(chunk_capacity);
-    while run.accesses() < max_accesses {
-        chunk.clear();
-        let left = max_accesses - run.accesses();
-        chunk.set_limit(left.min(chunk.capacity() as u64) as usize);
-        if workload.fill_chunk(&mut chunk) == 0 {
-            break;
-        }
-        run.drive(sys, daemon, &chunk, max_accesses);
-    }
+    while run.step(sys, workload, daemon, &mut chunk, max_accesses) {}
     run.finish(sys, daemon)
 }
 

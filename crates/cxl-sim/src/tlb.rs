@@ -225,19 +225,6 @@ impl Tlb {
         }
     }
 
-    /// Records a hit on a VPN that is already most-recently-used, without
-    /// re-scanning its set. Correct only when the caller's previous TLB
-    /// operation was a `lookup(vpn)` hit or an `insert(vpn)` for the same
-    /// VPN with nothing touched in between: a repeated `lookup` would find
-    /// the entry at the MRU way and its move-to-front (exact LRU) or
-    /// `plru_touch` (tree LRU) would be a no-op, so the only state change
-    /// is the hit counter. The staged translate pass uses this for the
-    /// second and later accesses of a same-page run.
-    #[inline]
-    pub fn repeat_hit(&mut self) {
-        self.hits += 1;
-    }
-
     /// Inserts a translation, evicting the LRU entry of the set if full.
     #[inline]
     pub fn insert(&mut self, vpn: Vpn) {

@@ -23,9 +23,7 @@
 //! Writes `BENCH_throughput.json` (override with `--out PATH`) so CI can
 //! track the performance trajectory. With `--check BASELINE.json` it
 //! prints a per-suite delta table against the committed baseline and
-//! exits non-zero if any suite regresses more than 20 %. With `--stages`
-//! the staged batch engine's per-pass wall-time breakdown
-//! (translate/LLC/bill/tracker) is recorded per chunked suite.
+//! exits non-zero if any suite regresses more than 20 %.
 //!
 //! JSON schema, one suite object per line (the `--check` parser is
 //! line-based and expects `accesses_per_sec` last on the line):
@@ -36,15 +34,12 @@
 //!  "wall_ns": u128,         best rep's total wall time; == gen_ns + sim_ns
 //!  "gen_ns": u128,          trace build + chunk fills + driver overhead
 //!  "sim_ns": u128,          simulate-side wall time (0 for gen-only suites)
-//!  "stages": {...}?,        only with --stages on chunked suites:
-//!                           translate/llc/bill/tracker ns, blocks,
-//!                           staged_accesses
 //!  "accesses_per_sec": f64} accesses / sim_ns (per wall_ns if sim_ns == 0)
 //! ```
 
 use cxl_sim::chunk::AccessChunk;
 use cxl_sim::prelude::*;
-use cxl_sim::system::{ChunkedRun, StageTimes, DEFAULT_CHUNK_ACCESSES};
+use cxl_sim::system::{ChunkedRun, DEFAULT_CHUNK_ACCESSES};
 use m5_bench::golden::GOLDENS;
 use m5_core::manager::{M5Config, M5Manager};
 use rand::rngs::SmallRng;
@@ -60,9 +55,6 @@ struct Measurement {
     wall_ns: u128,
     gen_ns: u128,
     sim_ns: u128,
-    /// Staged-engine pass breakdown of the best rep (`--stages`, chunked
-    /// suites only).
-    stages: Option<StageTimes>,
 }
 
 impl Measurement {
@@ -121,48 +113,39 @@ where
 /// Measures one golden workload end to end: the M5 manager, an enabled
 /// telemetry bus, and the chunked driver — exactly the golden
 /// differential harness, timed.
-fn measure_golden(
-    g: &m5_bench::golden::GoldenSpec,
-    accesses: u64,
-    reps: u32,
-    stages: bool,
-) -> Measurement {
+fn measure_golden(g: &m5_bench::golden::GoldenSpec, accesses: u64, reps: u32) -> Measurement {
     let spec = g.benchmark.spec();
-    // (sim, wall, stage breakdown) of the rep with the best simulate
-    // time — wall and gen are taken from the same rep so the wall =
-    // gen + sim invariant holds per measurement.
-    let mut best: Option<(u128, u128, Option<StageTimes>)> = None;
+    // (sim, wall) of the rep with the best simulate time — wall and gen
+    // are taken from the same rep so the wall = gen + sim invariant holds
+    // per measurement.
+    let mut best: Option<(u128, u128)> = None;
     for _ in 0..reps {
         let (mut sys, region) = m5_bench::standard_system(&spec);
         sys.install_telemetry(Telemetry::enabled());
-        if stages {
-            sys.enable_stage_timing();
-        }
         let t0 = Instant::now();
         let mut wl = spec.build(region.base, accesses, g.seed);
         let mut m5 = M5Manager::new(M5Config::default());
         let (report, sim) = run_timed(&mut sys, &mut wl, &mut m5, accesses);
         let wall = t0.elapsed().as_nanos();
         assert_eq!(report.accesses, accesses, "workload ended early");
-        if best.as_ref().is_none_or(|(s, _, _)| sim < *s) {
-            best = Some((sim, wall, sys.stage_times().copied()));
+        if best.is_none_or(|(s, _)| sim < s) {
+            best = Some((sim, wall));
         }
     }
-    let (sim, wall, st) = best.expect("reps >= 1");
+    let (sim, wall) = best.expect("reps >= 1");
     Measurement {
         name: format!("golden_{}", g.name),
         accesses,
         wall_ns: wall,
         gen_ns: wall - sim,
         sim_ns: sim,
-        stages: st,
     }
 }
 
-fn golden_suite(accesses: u64, reps: u32, stages: bool) -> Vec<Measurement> {
+fn golden_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
     GOLDENS
         .iter()
-        .map(|g| measure_golden(g, accesses, reps, stages))
+        .map(|g| measure_golden(g, accesses, reps))
         .collect()
 }
 
@@ -200,7 +183,6 @@ fn gen_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
                 wall_ns: best,
                 gen_ns: best,
                 sim_ns: 0,
-                stages: None,
             }
         })
         .collect()
@@ -212,33 +194,26 @@ fn gen_suite(accesses: u64, reps: u32) -> Vec<Measurement> {
 /// (window rollovers included, queueing excluded), so the regression gate
 /// covers the loaded-latency path with numbers that stay comparable
 /// across machines regardless of contention parameters.
-fn loaded_off_suite(accesses: u64, reps: u32, stages: bool) -> Measurement {
+fn loaded_off_suite(accesses: u64, reps: u32) -> Measurement {
     let g = &GOLDENS[2];
     let spec = g.benchmark.spec();
-    let mut best: Option<(u128, Option<StageTimes>)> = None;
+    let mut best = u128::MAX;
     for _ in 0..reps {
         let (mut sys, region) = m5_bench::standard_system(&spec);
-        if stages {
-            sys.enable_stage_timing();
-        }
         let mut wl = spec.build(region.base, accesses, g.seed);
         let mut daemon = m5_bench::loaded::MonitorOnly::new(Nanos::from_micros(100));
         let t0 = Instant::now();
         let report = cxl_sim::system::run(&mut sys, &mut wl, &mut daemon, accesses);
         let wall = t0.elapsed().as_nanos();
         assert_eq!(report.accesses, accesses, "workload ended early");
-        if best.as_ref().is_none_or(|(w, _)| wall < *w) {
-            best = Some((wall, sys.stage_times().copied()));
-        }
+        best = best.min(wall);
     }
-    let (wall, st) = best.expect("reps >= 1");
     Measurement {
         name: "loaded_off".into(),
         accesses,
-        wall_ns: wall,
+        wall_ns: best,
         gen_ns: 0,
-        sim_ns: wall,
-        stages: st,
+        sim_ns: best,
     }
 }
 
@@ -273,34 +248,21 @@ fn micro_suite(accesses: u64, reps: u32) -> Measurement {
         wall_ns: best,
         gen_ns: 0,
         sim_ns: best,
-        stages: None,
     }
 }
 
 fn render_json(ms: &[Measurement]) -> String {
     let mut out = String::from("{\n  \"suites\": [\n");
     for (i, m) in ms.iter().enumerate() {
-        // `stages` (when present) must come before `accesses_per_sec`:
-        // the line-based `--check` parser takes everything after the
-        // `accesses_per_sec` key up to the line's closing braces.
-        let stages = m.stages.map_or(String::new(), |s| {
-            format!(
-                "\"stages\": {{\"translate_ns\": {}, \"llc_ns\": {}, \
-                 \"bill_ns\": {}, \"tracker_ns\": {}, \"blocks\": {}, \
-                 \"staged_accesses\": {}}}, ",
-                s.translate_ns, s.llc_ns, s.bill_ns, s.tracker_ns, s.blocks, s.staged_accesses
-            )
-        });
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"accesses\": {}, \"wall_ns\": {}, \
-             \"gen_ns\": {}, \"sim_ns\": {}, {}\
+             \"gen_ns\": {}, \"sim_ns\": {}, \
              \"accesses_per_sec\": {:.0}}}{}\n",
             m.name,
             m.accesses,
             m.wall_ns,
             m.gen_ns,
             m.sim_ns,
-            stages,
             m.accesses_per_sec(),
             if i + 1 < ms.len() { "," } else { "" }
         ));
@@ -389,15 +351,14 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_throughput.json".into());
-    let stages = std::env::args().any(|a| a == "--stages");
 
     m5_bench::banner(
         "throughput",
         "wall-clock accesses/sec of the access pipeline",
     );
-    let mut ms = golden_suite(accesses, reps, stages);
+    let mut ms = golden_suite(accesses, reps);
     ms.extend(gen_suite(accesses, reps));
-    ms.push(loaded_off_suite(accesses, reps, stages));
+    ms.push(loaded_off_suite(accesses, reps));
     ms.push(micro_suite(accesses, reps));
     for m in &ms {
         println!(
@@ -409,13 +370,6 @@ fn main() {
             m.sim_ns,
             m.accesses_per_sec() / 1e6
         );
-        if let Some(s) = m.stages {
-            println!(
-                "{:<16} stages: translate {} ns / llc {} ns / bill {} ns / \
-                 tracker {} ns over {} blocks ({} staged accesses)",
-                "", s.translate_ns, s.llc_ns, s.bill_ns, s.tracker_ns, s.blocks, s.staged_accesses
-            );
-        }
     }
 
     let json = render_json(&ms);

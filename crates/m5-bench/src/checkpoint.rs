@@ -172,13 +172,13 @@ where
     Ok((resumed, loaded.fell_back))
 }
 
-/// Drives the run to `target` *total* accesses with the chunked loop of
-/// `cxl_sim::system::run_chunked`. The budget caps every fill, so the
-/// workload cursor never runs ahead of the simulation — which is what lets
-/// a mid-run checkpoint record a cursor the restored run resumes from
-/// exactly. Chunk capacity matches `cxl_sim::system::run`'s, so wakeup and
-/// fault interleaving (and therefore the final report) are byte-identical
-/// to an uninterrupted `run`.
+/// Drives the run to `target` *total* accesses with [`ChunkedRun::step`],
+/// the loop of `cxl_sim::system::run_chunked`. The budget caps every fill,
+/// so the workload cursor never runs ahead of the simulation — which is
+/// what lets a mid-run checkpoint record a cursor the restored run resumes
+/// from exactly. Chunk capacity matches `cxl_sim::system::run`'s, so
+/// wakeup and fault interleaving (and therefore the final report) are
+/// byte-identical to an uninterrupted `run`.
 pub fn drive_to<W>(
     sys: &mut System,
     m5: &mut M5Manager,
@@ -189,15 +189,7 @@ pub fn drive_to<W>(
     W: StreamCheckpoint + ?Sized,
 {
     let mut chunk = AccessChunk::with_capacity(DEFAULT_CHUNK_ACCESSES);
-    while run.accesses() < target {
-        chunk.clear();
-        let left = target - run.accesses();
-        chunk.set_limit(left.min(DEFAULT_CHUNK_ACCESSES as u64) as usize);
-        if wl.fill_chunk(&mut chunk) == 0 {
-            break;
-        }
-        run.drive(sys, m5, &chunk, target);
-    }
+    while run.step(sys, wl, m5, &mut chunk, target) {}
 }
 
 /// What a [`drive_with_checkpoints`] leg accomplished.

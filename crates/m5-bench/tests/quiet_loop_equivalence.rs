@@ -1,20 +1,26 @@
-//! Property net for the staged SoA access engine: on *random* access
-//! streams — not just the golden workloads — the chunked driver (which
-//! dispatches staged translate/LLC/bill/tracker blocks whenever the
-//! injector is quiescent) must stay byte-identical to the
-//! `run_per_access` oracle, with fault windows active and the contention
-//! model enabled, and a mid-chunk checkpoint/restore split must land on
-//! the exact same final state as the run that never stopped.
+//! Property net for the chunked driver's quiet loop: on *random* access
+//! streams — not just the golden workloads — `run_chunked`, which runs
+//! bare `access_core` calls up to each boundary while the injector is
+//! quiescent, must stay byte-identical to the `run_per_access` oracle.
+//! Three properties:
+//!
+//! * with fault windows active, the contention model enabled, and the M5
+//!   manager or the hinting-fault heavy ANB daemon, so quiet segments are
+//!   short and cut by wakes, faults, and flushes;
+//! * with no boundary at all (no daemon wake, no TLB flush, no fault
+//!   plan), so a whole chunk runs as one quiet segment;
+//! * a mid-chunk checkpoint/restore split lands on the exact same final
+//!   state as the run that never stopped.
 //!
 //! The deterministic suites (`chunk_determinism.rs`, `checkpoint.rs`)
 //! pin the golden workloads; this file fuzzes the space between them:
 //! arbitrary page-collision patterns, write/op-end mixes, chunk
-//! capacities that misalign with the staged block bound, and split
-//! points that cut a chunk (and the staged block inside it) anywhere.
+//! capacities that misalign with the quiet segments, and split points
+//! that cut a chunk (and the quiet segment inside it) anywhere.
 
 use cxl_sim::faults::{FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
-use cxl_sim::system::{run_chunked, run_per_access, Region};
+use cxl_sim::system::{run_chunked, run_per_access, NoMigration, Region};
 use m5_baselines::anb::{Anb, AnbConfig};
 use m5_bench::checkpoint::{capture, drive_to, resume};
 use m5_bench::golden;
@@ -49,22 +55,28 @@ fn active_plan() -> FaultPlan {
         )
 }
 
-/// A contended machine executing `plan`, with the workload's pages on
-/// CXL (so snoops, contention billing, and migration all have traffic).
-fn contended_system(pages: u64, plan: &FaultPlan) -> (System, Region) {
-    let config = SystemConfig::scaled_default()
+/// The contended machine: the workload's pages on CXL (so snoops,
+/// contention billing, and migration all have traffic).
+fn contended_config(pages: u64) -> SystemConfig {
+    SystemConfig::scaled_default()
         .with_cxl_frames(pages + 64)
         .with_ddr_frames((pages / 2).max(2))
         .with_contention(ContentionConfig::enabled_default().with_cxl_background(0.6))
-        // Force even the shortest quiet blocks through the staged passes
-        // so these properties exercise the staged engine, not the scalar
-        // fallback the default threshold would pick for small streams.
-        .with_staged_min_block(4);
+}
+
+/// A machine built from `config` executing `plan`, with a `pages`-page
+/// region on CXL.
+fn boot(config: SystemConfig, pages: u64, plan: &FaultPlan) -> (System, Region) {
     let mut sys = System::with_fault_plan(config, plan);
     let region = sys
         .alloc_region(pages, Placement::AllOnCxl)
         .expect("CXL sized to fit");
     (sys, region)
+}
+
+/// [`contended_config`] executing `plan`.
+fn contended_system(pages: u64, plan: &FaultPlan) -> (System, Region) {
+    boot(contended_config(pages), pages, plan)
 }
 
 /// Replay workload over `region` built from raw (offset, write, op-end)
@@ -75,25 +87,25 @@ fn replay(ops: &[(u64, bool, bool)], pages: u64, region: &Region) -> ReplayWorkl
     for &(off, w, end) in ops {
         rec.push(off % span, w, end);
     }
-    rec.into_workload("staged-prop", region.base)
+    rec.into_workload("quiet-prop", region.base)
 }
 
 /// Full-fidelity observation: rendered telemetry snapshot + report debug.
 fn snapshot(sys: &mut System, report: &RunReport) -> (String, String) {
     sys.telemetry_mut().flush();
-    let snap = golden::render("staged-prop", &sys.telemetry().snapshot());
+    let snap = golden::render("quiet-prop", &sys.telemetry().snapshot());
     (snap, format!("{report:?}"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Chunked (staged) ≡ per-access oracle on random streams, faults and
+    /// Chunked ≡ per-access oracle on random streams, faults and
     /// contention live, under both the M5 manager and the hinting-fault
-    /// heavy ANB daemon, at chunk capacities that slice staged blocks at
+    /// heavy ANB daemon, at chunk capacities that slice quiet segments at
     /// awkward points.
     #[test]
-    fn staged_chunked_matches_per_access_oracle(
+    fn chunked_matches_per_access_oracle(
         ops in prop::collection::vec(
             (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
             64..1024,
@@ -120,7 +132,7 @@ proptest! {
             snapshot(&mut sys, &report)
         };
 
-        let staged = {
+        let chunked = {
             let (mut sys, region) = contended_system(pages, &plan);
             sys.install_telemetry(Telemetry::enabled());
             let mut wl = replay(&ops, pages, &region);
@@ -134,16 +146,54 @@ proptest! {
             snapshot(&mut sys, &report)
         };
 
-        prop_assert_eq!(&oracle.1, &staged.1, "report diverged (cap={})", cap);
-        prop_assert_eq!(&oracle.0, &staged.0, "telemetry diverged (cap={})", cap);
+        prop_assert_eq!(&oracle.1, &chunked.1, "report diverged (cap={})", cap);
+        prop_assert_eq!(&oracle.0, &chunked.0, "telemetry diverged (cap={})", cap);
+    }
+
+    /// Chunked ≡ per-access oracle when nothing bounds the quiet segment:
+    /// no daemon wake, no TLB flush, no fault plan. The horizon is
+    /// unbounded, so each chunk — a whole 4096-access one at the largest
+    /// capacity — runs as a single quiet segment.
+    #[test]
+    fn unbounded_quiet_segment_matches_per_access_oracle(
+        ops in prop::collection::vec(
+            (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
+            4096..6000,
+        ),
+        pages in 8u64..48,
+    ) {
+        let plan = FaultPlan::none();
+        let accesses = ops.len() as u64;
+        let observe = |cap: Option<usize>| {
+            let mut config = contended_config(pages);
+            config.tlb_flush_interval = None;
+            let (mut sys, region) = boot(config, pages, &plan);
+            sys.install_telemetry(Telemetry::enabled());
+            prop_assert_eq!(sys.fault_injector().next_scheduled(), None);
+            let mut wl = replay(&ops, pages, &region);
+            let report = match cap {
+                None => run_per_access(&mut sys, &mut wl, &mut NoMigration, accesses),
+                Some(cap) => run_chunked(&mut sys, &mut wl, &mut NoMigration, accesses, cap),
+            };
+            prop_assert_eq!(report.accesses, accesses);
+            prop_assert_eq!(report.hinting_faults, 0, "a hinting fault would end the segment");
+            snapshot(&mut sys, &report)
+        };
+
+        let oracle = observe(None);
+        for cap in [1usize, 7, 509, 4096] {
+            let chunked = observe(Some(cap));
+            prop_assert_eq!(&oracle.1, &chunked.1, "report diverged (cap={})", cap);
+            prop_assert_eq!(&oracle.0, &chunked.0, "telemetry diverged (cap={})", cap);
+        }
     }
 
     /// Checkpointing at an arbitrary access index — almost always inside
-    /// a chunk, and usually inside a staged block — and restoring into a
+    /// a chunk, and usually inside a quiet segment — and restoring into a
     /// fresh machine must produce the byte-identical final checkpoint,
     /// report, and telemetry of the uninterrupted run.
     #[test]
-    fn staged_restore_equals_continue_at_any_split(
+    fn restore_equals_continue_at_any_split(
         ops in prop::collection::vec(
             (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
             128..1024,

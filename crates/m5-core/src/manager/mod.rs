@@ -950,15 +950,12 @@ mod tests {
             .validate(),
             Err(ConfigError::BadCongestionKnee(1.0))
         );
-        assert_eq!(
-            M5Config {
-                congestion_knee: f64::NAN,
-                ..M5Config::default()
-            }
-            .validate()
-            .is_err(),
-            true
-        );
+        assert!(M5Config {
+            congestion_knee: f64::NAN,
+            ..M5Config::default()
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]
