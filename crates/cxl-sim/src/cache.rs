@@ -12,20 +12,15 @@
 //! The cache is one contiguous `Vec<u64>` of `sets × ways` packed entries —
 //! no per-set allocation, no pointer chasing. An entry packs the line
 //! address in bits 0..63 and the dirty flag in bit 63; `u64::MAX` is the
-//! empty sentinel (a real line address never reaches 2^63 − 1). Under the
-//! default [`ReplacementPolicy::ExactLru`] each set's slice is
-//! recency-ordered (way 0 = MRU, valid entries form a prefix), which
-//! reproduces the original nested-`Vec` LRU decisions bit for bit. The
-//! opt-in [`ReplacementPolicy::TreeLru`] keeps entries in stable ways and
-//! drives victim selection from a per-set pseudo-LRU bit tree instead —
-//! cheaper per touch, but it approximates LRU, so it is *not* the default:
-//! golden traces are pinned to exact LRU.
+//! empty sentinel (a real line address never reaches 2^63 − 1). Each set's
+//! slice is recency-ordered (way 0 = MRU, valid entries form a prefix), so
+//! replacement is exact LRU and reproduces the original nested-`Vec`
+//! decisions bit for bit — the golden traces are pinned to it.
 
 use crate::addr::CacheLineAddr;
-use serde::{Deserialize, Serialize};
 
 /// LLC geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -59,22 +54,6 @@ impl LlcConfig {
     }
 }
 
-/// Victim-selection policy for [`Llc`] (and the TLB, which shares the
-/// flat-array design).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// True LRU, order-encoded within each set's contiguous slice. The
-    /// default: byte-compatible with the original nested-`Vec`
-    /// implementation and with every checked-in golden trace.
-    #[default]
-    ExactLru,
-    /// Tree pseudo-LRU: a per-set binary bit tree points at the
-    /// approximately-least-recent way. O(log ways) bit flips per touch
-    /// instead of an O(ways) shift, at the cost of approximating LRU.
-    /// Requires power-of-two associativity.
-    TreeLru,
-}
-
 /// The outcome of one cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheAccess {
@@ -97,9 +76,6 @@ const ADDR_MASK: u64 = !DIRTY;
 pub struct Llc {
     /// `n_sets × ways` packed entries; see module docs for the layout.
     entries: Vec<u64>,
-    /// Per-set pseudo-LRU bit trees; empty unless `policy` is `TreeLru`.
-    plru: Vec<u64>,
-    policy: ReplacementPolicy,
     n_sets: usize,
     /// `n_sets − 1` when `n_sets` is a power of two (mask indexing), else 0.
     set_mask: usize,
@@ -115,68 +91,17 @@ fn pack(addr: CacheLineAddr, dirty: bool) -> u64 {
     addr.0 | if dirty { DIRTY } else { 0 }
 }
 
-/// Marks `way` most-recently-used: each tree bit on the root→leaf path is
-/// pointed *away* from the way just touched.
-#[inline]
-pub(crate) fn plru_touch(tree: &mut u64, levels: u32, way: usize) {
-    let mut node = 1usize;
-    for level in (0..levels).rev() {
-        let took_right = (way >> level) & 1;
-        if took_right == 1 {
-            *tree &= !(1u64 << node);
-        } else {
-            *tree |= 1u64 << node;
-        }
-        node = node * 2 + took_right;
-    }
-}
-
-/// Follows the tree bits root→leaf to the pseudo-least-recent way.
-#[inline]
-pub(crate) fn plru_victim(tree: u64, levels: u32) -> usize {
-    let mut node = 1usize;
-    let mut way = 0usize;
-    for _ in 0..levels {
-        let bit = ((tree >> node) & 1) as usize;
-        way = way * 2 + bit;
-        node = node * 2 + bit;
-    }
-    way
-}
-
 impl Llc {
-    /// Builds an empty cache with the default exact-LRU policy.
+    /// Builds an empty cache.
     ///
     /// # Panics
     ///
     /// Panics if the geometry yields zero sets.
     pub fn new(config: LlcConfig) -> Llc {
-        Llc::with_policy(config, ReplacementPolicy::ExactLru)
-    }
-
-    /// Builds an empty cache under an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry yields zero sets, or if `TreeLru` is asked
-    /// for with a non-power-of-two associativity.
-    pub fn with_policy(config: LlcConfig, policy: ReplacementPolicy) -> Llc {
         let n_sets = config.sets();
         assert!(n_sets > 0, "LLC too small for its associativity");
-        if policy == ReplacementPolicy::TreeLru {
-            assert!(
-                config.ways.is_power_of_two() && config.ways <= 64,
-                "tree pseudo-LRU needs power-of-two associativity ≤ 64"
-            );
-        }
         Llc {
             entries: vec![EMPTY; n_sets * config.ways],
-            plru: if policy == ReplacementPolicy::TreeLru {
-                vec![0; n_sets]
-            } else {
-                Vec::new()
-            },
-            policy,
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -190,17 +115,11 @@ impl Llc {
         }
     }
 
-    /// The replacement policy this cache was built with.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Serializes the packed entry array (LRU order included), pseudo-LRU
-    /// trees, and hit/miss/writeback counters for a checkpoint. Geometry
-    /// and policy are rebuilt from configuration on restore.
+    /// Serializes the packed entry array (LRU order included) and the
+    /// hit/miss/writeback counters for a checkpoint. Geometry is rebuilt
+    /// from configuration on restore.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_u64_slice(&self.entries);
-        w.put_u64_slice(&self.plru);
         w.put_u64(self.hits);
         w.put_u64(self.misses);
         w.put_u64(self.writebacks);
@@ -210,14 +129,13 @@ impl Llc {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects arrays that do not match the
-    /// geometry implied by `config`/`policy`.
+    /// Propagates codec errors; rejects an entry array that does not match
+    /// the geometry implied by `config`.
     pub fn restore(
         config: LlcConfig,
-        policy: ReplacementPolicy,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<Llc, crate::checkpoint::CodecError> {
-        let mut llc = Llc::with_policy(config, policy);
+        let mut llc = Llc::new(config);
         let entries = r.get_u64_vec()?;
         if entries.len() != llc.entries.len() {
             return Err(crate::checkpoint::CodecError::BadValue {
@@ -225,15 +143,7 @@ impl Llc {
                 value: entries.len() as u64,
             });
         }
-        let plru = r.get_u64_vec()?;
-        if plru.len() != llc.plru.len() {
-            return Err(crate::checkpoint::CodecError::BadValue {
-                what: "llc plru tree count",
-                value: plru.len() as u64,
-            });
-        }
         llc.entries = entries;
-        llc.plru = plru;
         llc.hits = r.get_u64()?;
         llc.misses = r.get_u64()?;
         llc.writebacks = r.get_u64()?;
@@ -249,22 +159,32 @@ impl Llc {
         }
     }
 
-    #[inline]
-    fn levels(&self) -> u32 {
-        self.ways.trailing_zeros()
-    }
-
     /// Performs a demand access to `line`. On a miss the line is allocated
     /// (write-allocate: even stores first fill the line).
     #[inline]
     pub fn access(&mut self, line: CacheLineAddr, is_write: bool) -> CacheAccess {
-        match self.policy {
-            ReplacementPolicy::ExactLru => self.access_lru(line, is_write),
-            ReplacementPolicy::TreeLru => self.access_plru(line, is_write),
+        let (hit, writeback) = self.touch(line, is_write);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        CacheAccess { hit, writeback }
     }
 
-    fn access_lru(&mut self, line: CacheLineAddr, is_write: bool) -> CacheAccess {
+    /// Fills `line` without a demand access (page-migration pollution: the
+    /// copy engine pulls the line through the hierarchy). Returns a dirty
+    /// victim needing writeback, if any.
+    pub fn fill(&mut self, line: CacheLineAddr, dirty: bool) -> Option<CacheLineAddr> {
+        self.touch(line, dirty).1
+    }
+
+    /// Makes `line` the MRU entry of its set, OR-ing in `dirty`. On a miss
+    /// the line is allocated, evicting the LRU entry of a full set. Returns
+    /// whether the line was resident and the dirty victim to write back;
+    /// counts writebacks but not hits or misses.
+    #[inline]
+    fn touch(&mut self, line: CacheLineAddr, dirty: bool) -> (bool, Option<CacheLineAddr>) {
         let base = self.set_index(line) * self.ways;
         let set = &mut self.entries[base..base + self.ways];
         // Valid entries form a recency-ordered prefix (way 0 = MRU).
@@ -275,107 +195,10 @@ impl Llc {
                 break;
             }
             if e & ADDR_MASK == line.0 {
-                let promoted = e | if is_write { DIRTY } else { 0 };
-                set.copy_within(0..i, 1);
-                set[0] = promoted;
-                self.hits += 1;
-                return CacheAccess {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-        }
-        self.misses += 1;
-        let writeback = if len == set.len() {
-            let victim = set[len - 1];
-            if victim & DIRTY != 0 {
-                self.writebacks += 1;
-                Some(CacheLineAddr(victim & ADDR_MASK))
-            } else {
-                None
-            }
-        } else {
-            len += 1;
-            None
-        };
-        set.copy_within(0..len - 1, 1);
-        set[0] = pack(line, is_write);
-        CacheAccess {
-            hit: false,
-            writeback,
-        }
-    }
-
-    fn access_plru(&mut self, line: CacheLineAddr, is_write: bool) -> CacheAccess {
-        let idx = self.set_index(line);
-        let base = idx * self.ways;
-        let levels = self.levels();
-        let set = &mut self.entries[base..base + self.ways];
-        let tree = &mut self.plru[idx];
-        let mut empty_way = None;
-        for (w, &e) in set.iter().enumerate() {
-            if e == EMPTY {
-                if empty_way.is_none() {
-                    empty_way = Some(w);
-                }
-                continue;
-            }
-            if e & ADDR_MASK == line.0 {
-                set[w] = e | if is_write { DIRTY } else { 0 };
-                plru_touch(tree, levels, w);
-                self.hits += 1;
-                return CacheAccess {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-        }
-        self.misses += 1;
-        let (way, writeback) = match empty_way {
-            Some(w) => (w, None),
-            None => {
-                let w = plru_victim(*tree, levels);
-                let victim = set[w];
-                if victim & DIRTY != 0 {
-                    self.writebacks += 1;
-                    (w, Some(CacheLineAddr(victim & ADDR_MASK)))
-                } else {
-                    (w, None)
-                }
-            }
-        };
-        set[way] = pack(line, is_write);
-        plru_touch(tree, levels, way);
-        CacheAccess {
-            hit: false,
-            writeback,
-        }
-    }
-
-    /// Fills `line` without a demand access (page-migration pollution: the
-    /// copy engine pulls the line through the hierarchy). Returns a dirty
-    /// victim needing writeback, if any.
-    pub fn fill(&mut self, line: CacheLineAddr, dirty: bool) -> Option<CacheLineAddr> {
-        match self.policy {
-            ReplacementPolicy::ExactLru => self.fill_lru(line, dirty),
-            ReplacementPolicy::TreeLru => self.fill_plru(line, dirty),
-        }
-    }
-
-    fn fill_lru(&mut self, line: CacheLineAddr, dirty: bool) -> Option<CacheLineAddr> {
-        let base = self.set_index(line) * self.ways;
-        let set = &mut self.entries[base..base + self.ways];
-        let mut len = set.len();
-        for (i, &e) in set.iter().enumerate() {
-            if e == EMPTY {
-                len = i;
-                break;
-            }
-            if e & ADDR_MASK == line.0 {
                 let promoted = e | if dirty { DIRTY } else { 0 };
                 set.copy_within(0..i, 1);
                 set[0] = promoted;
-                return None;
+                return (true, None);
             }
         }
         let writeback = if len == set.len() {
@@ -392,44 +215,7 @@ impl Llc {
         };
         set.copy_within(0..len - 1, 1);
         set[0] = pack(line, dirty);
-        writeback
-    }
-
-    fn fill_plru(&mut self, line: CacheLineAddr, dirty: bool) -> Option<CacheLineAddr> {
-        let idx = self.set_index(line);
-        let base = idx * self.ways;
-        let levels = self.levels();
-        let set = &mut self.entries[base..base + self.ways];
-        let mut empty_way = None;
-        for (w, &e) in set.iter().enumerate() {
-            if e == EMPTY {
-                if empty_way.is_none() {
-                    empty_way = Some(w);
-                }
-                continue;
-            }
-            if e & ADDR_MASK == line.0 {
-                set[w] = e | if dirty { DIRTY } else { 0 };
-                plru_touch(&mut self.plru[idx], levels, w);
-                return None;
-            }
-        }
-        let (way, writeback) = match empty_way {
-            Some(w) => (w, None),
-            None => {
-                let w = plru_victim(self.plru[idx], levels);
-                let victim = set[w];
-                if victim & DIRTY != 0 {
-                    self.writebacks += 1;
-                    (w, Some(CacheLineAddr(victim & ADDR_MASK)))
-                } else {
-                    (w, None)
-                }
-            }
-        };
-        set[way] = pack(line, dirty);
-        plru_touch(&mut self.plru[idx], levels, way);
-        writeback
+        (false, writeback)
     }
 
     /// Invalidates `line` if resident, returning it if it was dirty.
@@ -441,14 +227,9 @@ impl Llc {
                 break;
             }
             if e & ADDR_MASK == line.0 {
-                match self.policy {
-                    ReplacementPolicy::ExactLru => {
-                        // Close the gap to keep the valid prefix contiguous.
-                        set.copy_within(i + 1.., i);
-                        set[self.ways - 1] = EMPTY;
-                    }
-                    ReplacementPolicy::TreeLru => set[i] = EMPTY,
-                }
+                // Close the gap to keep the valid prefix contiguous.
+                set.copy_within(i + 1.., i);
+                set[self.ways - 1] = EMPTY;
                 if e & DIRTY != 0 {
                     self.writebacks += 1;
                     return Some(CacheLineAddr(e & ADDR_MASK));
@@ -579,50 +360,5 @@ mod tests {
         llc.access(CacheLineAddr(64), false); // fills the freed way
         assert!(llc.contains(CacheLineAddr(0)));
         assert!(llc.contains(CacheLineAddr(64)));
-    }
-
-    #[test]
-    fn tree_plru_basic_hit_miss_and_full_set_eviction() {
-        let mut llc = Llc::with_policy(LlcConfig::tiny(), ReplacementPolicy::TreeLru);
-        assert_eq!(llc.policy(), ReplacementPolicy::TreeLru);
-        let (a, b) = (CacheLineAddr(0), CacheLineAddr(32));
-        assert!(!llc.access(a, true).hit);
-        assert!(!llc.access(b, false).hit);
-        assert!(llc.access(a, false).hit);
-        assert_eq!(llc.occupancy(), 2);
-        // Set 0 is full; b was touched least recently, so the pLRU tree
-        // must pick it (for 2 ways pLRU *is* exact LRU).
-        let r = llc.access(CacheLineAddr(64), false);
-        assert!(!r.hit);
-        assert!(llc.contains(a));
-        assert!(!llc.contains(b));
-        assert_eq!(r.writeback, None, "b was clean");
-        // a is dirty; evicting it must write back.
-        let r = llc.access(CacheLineAddr(96), false);
-        assert_eq!(r.writeback, Some(a));
-    }
-
-    #[test]
-    fn tree_plru_invalidate_frees_the_way() {
-        let mut llc = Llc::with_policy(LlcConfig::tiny(), ReplacementPolicy::TreeLru);
-        llc.access(CacheLineAddr(0), true);
-        assert_eq!(llc.invalidate(CacheLineAddr(0)), Some(CacheLineAddr(0)));
-        assert_eq!(llc.occupancy(), 0);
-        assert!(!llc.contains(CacheLineAddr(0)));
-    }
-
-    #[test]
-    fn plru_tree_victim_walks_touch_history() {
-        // 8 ways, 3 levels: touching every way in order leaves way 0 as
-        // the pseudo-LRU victim (it was touched longest ago and no other
-        // touch redirected the tree back toward it... verify against a
-        // brute-force expectation for this specific sequence).
-        let mut tree = 0u64;
-        for w in 0..8 {
-            plru_touch(&mut tree, 3, w);
-        }
-        assert_eq!(plru_victim(tree, 3), 0);
-        plru_touch(&mut tree, 3, 0);
-        assert_ne!(plru_victim(tree, 3), 0);
     }
 }

@@ -35,7 +35,9 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"M5CKPT01";
 
 /// Current manifest version. Bump on any incompatible layout change.
-pub const VERSION: u32 = 1;
+/// Version 2 dropped the replacement-policy tag byte and the pseudo-LRU
+/// tree array from the `tlb` and `llc` sections.
+pub const VERSION: u32 = 2;
 
 /// Terminator written after the last section; catches truncation at an
 /// exact section boundary (which no per-section checksum would see).

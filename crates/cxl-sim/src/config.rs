@@ -7,10 +7,9 @@ use crate::memory::NodeConfig;
 use crate::ras::RasConfig;
 use crate::time::Nanos;
 use crate::tlb::TlbConfig;
-use serde::{Deserialize, Serialize};
 
 /// Where a freshly allocated region's pages are placed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Placement {
     /// Every page on the CXL node — the paper's starting condition (§7.2):
     /// all benchmark pages are cgroup-allocated to CXL DRAM.
@@ -29,7 +28,7 @@ pub enum Placement {
 }
 
 /// Full configuration of a simulated machine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SystemConfig {
     /// Fast-tier node.
     pub ddr: NodeConfig,
@@ -52,19 +51,12 @@ pub struct SystemConfig {
     /// Solution 2). `None` disables them. Default: one scheduler timeslice
     /// (1 ms).
     pub tlb_flush_interval: Option<Nanos>,
-    /// Migration watchdog deadline: a migration whose copy phase would wait
-    /// on a stalled CXL controller for longer than this is rolled back
-    /// instead of waiting (retry/backoff is the promoter's job). Default
-    /// 200 µs, a few page-copy times.
-    pub migration_watchdog: Nanos,
     /// RAS policy: correctable-error trending thresholds, patrol-scrub
     /// width, and the live-evacuation deadline.
-    #[serde(default)]
     pub ras: RasConfig,
     /// Contention-aware timing: per-node loaded-latency queueing over the
     /// epoch bandwidth window. Disabled by default — the fixed per-access
     /// cost path stays bit-for-bit intact.
-    #[serde(default)]
     pub contention: ContentionConfig,
 }
 
@@ -95,7 +87,6 @@ impl SystemConfig {
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),
-            migration_watchdog: Nanos::from_micros(200),
             ras: RasConfig::default(),
             contention: ContentionConfig::disabled(),
         }
@@ -124,7 +115,6 @@ impl SystemConfig {
             colocated_daemon: true,
             migration_pollutes_cache: true,
             tlb_flush_interval: Some(Nanos::from_millis(1)),
-            migration_watchdog: Nanos::from_micros(200),
             ras: RasConfig::default(),
             contention: ContentionConfig::disabled(),
         }
@@ -146,12 +136,6 @@ impl SystemConfig {
     /// Returns this config with the daemon moved off the application core.
     pub fn with_isolated_daemon(mut self) -> SystemConfig {
         self.colocated_daemon = false;
-        self
-    }
-
-    /// Returns this config with the migration watchdog deadline overridden.
-    pub fn with_migration_watchdog(mut self, deadline: Nanos) -> SystemConfig {
-        self.migration_watchdog = deadline;
         self
     }
 

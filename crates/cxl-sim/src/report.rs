@@ -226,14 +226,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Operations per simulated second (0 if no op markers were seen).
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.total_time == Nanos::ZERO {
-            return 0.0;
-        }
-        self.op_latency.count() as f64 / self.total_time.as_secs_f64()
-    }
-
     /// Accesses per simulated second.
     pub fn accesses_per_sec(&self) -> f64 {
         if self.total_time == Nanos::ZERO {

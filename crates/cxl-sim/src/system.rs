@@ -26,11 +26,12 @@
 
 use crate::addr::{CacheLineAddr, Pfn, VirtAddr, Vpn, WordIndex, WORDS_PER_PAGE};
 use crate::cache::Llc;
+use crate::checkpoint::{Checkpoint, RestoreError};
 use crate::chunk::{word_is_op_end, word_is_write, word_vaddr, AccessChunk};
 use crate::config::{Placement, SystemConfig};
 use crate::contention::{Contention, TrafficClass};
 use crate::controller::{CxlController, CxlDevice, DeviceHandle};
-use crate::faults::{DeviceFault, FaultClass, FaultEvent, FaultInjector, FaultPlan, SimError};
+use crate::faults::{DeviceFault, FaultClass, FaultInjector, FaultPlan, SimError};
 use crate::journal::{MigrationJournal, RecoveryReport, TxnId, TxnState};
 use crate::kernel::{CostKind, KernelCosts};
 use crate::memory::{NodeId, OutOfFrames, TieredMemory, CXL_BASE_PFN};
@@ -243,6 +244,11 @@ const BATCH_LAT_CXL: usize = 2;
 /// Soft-offline candidates processed per [`System::ras_service`] epoch —
 /// bounds the per-epoch stall predictive offlining can add.
 const RAS_OFFLINE_BATCH: u64 = 8;
+
+/// Migration watchdog deadline: a migration whose copy phase would wait on
+/// a stalled CXL controller for longer than this is rolled back instead of
+/// waiting (retry/backoff is the promoter's job). A few page-copy times.
+const MIGRATION_WATCHDOG: Nanos = Nanos::from_micros(200);
 
 #[inline]
 fn node_idx(node: NodeId) -> usize {
@@ -479,15 +485,9 @@ impl System {
     /// Consumes the next armed torn-checkpoint fault, if any, returning the
     /// manifest section index at which the commit must be cut short. The
     /// checkpointing harness calls this immediately before each commit and
-    /// switches to [`crate::checkpoint::Checkpoint::commit_torn`] when a
-    /// fault is armed.
+    /// switches to [`Checkpoint::commit_torn`] when a fault is armed.
     pub fn take_torn_checkpoint(&mut self) -> Option<u64> {
         self.faults.take_torn_checkpoint()
-    }
-
-    /// Every fault armed so far, in arming order.
-    pub fn fault_log(&self) -> &[FaultEvent] {
-        self.faults.log()
     }
 
     /// Records a degradation-mode switch (e.g. a daemon falling back to
@@ -902,7 +902,7 @@ impl System {
     /// paying the epoch/fault/flush checks on every access, it computes the
     /// distance to the next *boundary* — the daemon's wake `deadline`, the
     /// periodic TLB flush, and the fault injector's next scheduled event —
-    /// once, and runs bare [`System::access_core`] calls up to it.
+    /// once, and runs bare unchecked accesses up to it.
     /// Accesses at or past a boundary, or made while the injector is not
     /// quiescent, take the fully-checked [`System::try_access`] path one at
     /// a time, so the observable behaviour is identical to calling
@@ -1255,8 +1255,8 @@ impl System {
         // as migration time); roll back rather than wait past the deadline.
         let stall = self.faults.stall_remaining(self.clock.now());
         if stall > Nanos::ZERO {
-            if stall > self.config.migration_watchdog {
-                self.daemon_bill(CostKind::Migration, self.config.migration_watchdog);
+            if stall > MIGRATION_WATCHDOG {
+                self.daemon_bill(CostKind::Migration, MIGRATION_WATCHDOG);
                 self.memory.free(shadow);
                 self.finish_txn(id, TxnState::RolledBack);
                 return Err(MigrateError::Stalled { waited: stall });
@@ -1790,19 +1790,6 @@ impl System {
         self.telemetry.counter_add("sim.migrations", "rejected", n);
     }
 
-    /// Migrates a batch of pages to `dst`, collecting per-page outcomes
-    /// (the `migrate_pages()` interface used by the Promoter).
-    pub fn migrate_batch(&mut self, vpns: &[Vpn], dst: NodeId) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
-        for &vpn in vpns {
-            match self.migrate_page(vpn, dst) {
-                Ok(()) => out.migrated.push(vpn),
-                Err(e) => out.rejected.push((vpn, e)),
-            }
-        }
-        out
-    }
-
     /// Runs one MGLRU aging pass over the DDR-resident pages, billing the
     /// PTE scans, and returns the number of PTEs scanned.
     pub fn mglru_age(&mut self) -> u64 {
@@ -1946,12 +1933,6 @@ impl System {
         &self.perfmon
     }
 
-    /// The performance monitor (mutable — the Monitor component rolls its
-    /// measurement window).
-    pub fn perfmon_mut(&mut self) -> &mut PerfMonitor {
-        &mut self.perfmon
-    }
-
     /// The kernel-cost ledger.
     pub fn kernel_costs(&self) -> &KernelCosts {
         &self.kernel
@@ -2063,10 +2044,10 @@ impl System {
     /// harness re-attaches its devices and reloads their SRAM state (the
     /// M5 manager does this in its own checkpoint section). Open telemetry
     /// spans are owned by their creators and re-opened after restore.
-    pub fn checkpoint(&mut self) -> crate::checkpoint::Checkpoint {
+    pub fn checkpoint(&mut self) -> Checkpoint {
         use crate::checkpoint::StateWriter;
         self.flush_telemetry();
-        let mut cp = crate::checkpoint::Checkpoint::new();
+        let mut cp = Checkpoint::new();
         let mut section = |name: &str, f: &mut dyn FnMut(&mut StateWriter)| {
             let mut w = StateWriter::new();
             f(&mut w);
@@ -2076,20 +2057,8 @@ impl System {
         section("clock", &mut |w| w.put_u64(self.clock.now().0));
         section("memory", &mut |w| self.memory.save(w));
         section("paging", &mut |w| self.page_table.save(w));
-        section("tlb", &mut |w| {
-            w.put_u8(match self.tlb.policy() {
-                crate::cache::ReplacementPolicy::ExactLru => 0,
-                crate::cache::ReplacementPolicy::TreeLru => 1,
-            });
-            self.tlb.save(w);
-        });
-        section("llc", &mut |w| {
-            w.put_u8(match self.llc.policy() {
-                crate::cache::ReplacementPolicy::ExactLru => 0,
-                crate::cache::ReplacementPolicy::TreeLru => 1,
-            });
-            self.llc.save(w);
-        });
+        section("tlb", &mut |w| self.tlb.save(w));
+        section("llc", &mut |w| self.llc.save(w));
         section("perfmon", &mut |w| self.perfmon.save(w));
         section("kernel", &mut |w| self.kernel.save(w));
         section("mglru", &mut |w| self.ddr_lru.save(w));
@@ -2146,12 +2115,12 @@ impl System {
     pub fn restore(
         config: SystemConfig,
         plan: &FaultPlan,
-        cp: &crate::checkpoint::Checkpoint,
-    ) -> Result<System, crate::checkpoint::RestoreError> {
-        use crate::checkpoint::{section_err, RestoreError, StateReader};
+        cp: &Checkpoint,
+    ) -> Result<System, RestoreError> {
+        use crate::checkpoint::{section_err, StateReader};
 
         fn read_section<'c, T>(
-            cp: &'c crate::checkpoint::Checkpoint,
+            cp: &'c Checkpoint,
             name: &'static str,
             f: impl FnOnce(&mut StateReader<'c>) -> Result<T, crate::checkpoint::CodecError>,
         ) -> Result<T, RestoreError> {
@@ -2166,32 +2135,13 @@ impl System {
             return Err(RestoreError::ConfigMismatch);
         }
 
-        fn policy_of(
-            tag: u8,
-        ) -> Result<crate::cache::ReplacementPolicy, crate::checkpoint::CodecError> {
-            match tag {
-                0 => Ok(crate::cache::ReplacementPolicy::ExactLru),
-                1 => Ok(crate::cache::ReplacementPolicy::TreeLru),
-                t => Err(crate::checkpoint::CodecError::BadValue {
-                    what: "replacement-policy tag",
-                    value: t as u64,
-                }),
-            }
-        }
-
         let clock = read_section(cp, "clock", |r| Ok(Clock::at(Nanos(r.get_u64()?))))?;
         let memory = read_section(cp, "memory", |r| {
             TieredMemory::restore(config.ddr.clone(), config.cxl.clone(), r)
         })?;
         let page_table = read_section(cp, "paging", |r| PageTable::restore(r))?;
-        let tlb = read_section(cp, "tlb", |r| {
-            let policy = policy_of(r.get_u8()?)?;
-            Tlb::restore(config.tlb, policy, r)
-        })?;
-        let llc = read_section(cp, "llc", |r| {
-            let policy = policy_of(r.get_u8()?)?;
-            Llc::restore(config.llc, policy, r)
-        })?;
+        let tlb = read_section(cp, "tlb", |r| Tlb::restore(config.tlb, r))?;
+        let llc = read_section(cp, "llc", |r| Llc::restore(config.llc, r))?;
         let perfmon = read_section(cp, "perfmon", |r| PerfMonitor::restore(r))?;
         let kernel = read_section(cp, "kernel", |r| KernelCosts::restore(r))?;
         let ddr_lru = read_section(cp, "mglru", |r| MgLru::restore(r))?;
@@ -2893,6 +2843,45 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn restore_rejects_the_version_1_llc_layout() {
+        use crate::checkpoint::VERSION;
+        let mut sys = System::new(SystemConfig::small());
+        let r = sys.alloc_region(4, Placement::AllOnDdr).unwrap();
+        exercise(&mut sys, &r, 0, 50);
+        let cp = sys.checkpoint();
+
+        // A version-1 image is turned away by the manifest header.
+        let mut bytes = cp.encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(RestoreError::VersionSkew {
+                found: 1,
+                expected: VERSION
+            })
+        ));
+
+        // An `llc` section still in the version-1 layout (policy tag byte,
+        // entries, empty pseudo-LRU vector, counters) is a typed error.
+        let mut old = Checkpoint::new();
+        for name in cp.section_names() {
+            let bytes = cp.section(name).unwrap();
+            if name == "llc" {
+                let (entries, counters) = bytes.split_at(bytes.len() - 24);
+                let mut v1 = vec![0u8];
+                v1.extend_from_slice(entries);
+                v1.extend_from_slice(&0u64.to_le_bytes());
+                v1.extend_from_slice(counters);
+                old.add_section(name, v1);
+            } else {
+                old.add_section(name, bytes.to_vec());
+            }
+        }
+        let err = System::restore(SystemConfig::small(), &FaultPlan::none(), &old).unwrap_err();
+        assert!(matches!(err, RestoreError::Corrupt { section: "llc", .. }));
     }
 
     #[test]

@@ -9,18 +9,14 @@
 //! # Layout
 //!
 //! Like the LLC, the TLB is one contiguous `Vec<u64>` of `sets × ways`
-//! VPN entries with `u64::MAX` as the empty sentinel. Under the default
-//! [`ReplacementPolicy::ExactLru`] each set's slice is recency-ordered
-//! (way 0 = MRU), reproducing the original nested-`Vec` decisions
-//! exactly; [`ReplacementPolicy::TreeLru`] is available opt-in via
-//! [`Tlb::with_policy`].
+//! VPN entries with `u64::MAX` as the empty sentinel. Each set's slice is
+//! recency-ordered (way 0 = MRU), so replacement is exact LRU and
+//! reproduces the original nested-`Vec` decisions exactly.
 
 use crate::addr::Vpn;
-use crate::cache::{plru_touch, plru_victim, ReplacementPolicy};
-use serde::{Deserialize, Serialize};
 
 /// TLB geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total number of entries.
     pub entries: usize,
@@ -57,9 +53,6 @@ const EMPTY: u64 = u64::MAX;
 pub struct Tlb {
     /// `n_sets × ways` VPN slots; see module docs for the layout.
     entries: Vec<u64>,
-    /// Per-set pseudo-LRU bit trees; empty unless `policy` is `TreeLru`.
-    plru: Vec<u64>,
-    policy: ReplacementPolicy,
     n_sets: usize,
     /// `n_sets − 1` when `n_sets` is a power of two (mask indexing), else 0.
     set_mask: usize,
@@ -70,22 +63,12 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// Builds an empty TLB with the default exact-LRU policy.
+    /// Builds an empty TLB.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is not a positive multiple of `ways`.
     pub fn new(config: TlbConfig) -> Tlb {
-        Tlb::with_policy(config, ReplacementPolicy::ExactLru)
-    }
-
-    /// Builds an empty TLB under an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid, or if `TreeLru` is asked for
-    /// with a non-power-of-two associativity.
-    pub fn with_policy(config: TlbConfig, policy: ReplacementPolicy) -> Tlb {
         assert!(config.ways > 0 && config.entries > 0);
         assert_eq!(
             config.entries % config.ways,
@@ -93,20 +76,8 @@ impl Tlb {
             "entries must be a multiple of ways"
         );
         let n_sets = config.entries / config.ways;
-        if policy == ReplacementPolicy::TreeLru {
-            assert!(
-                config.ways.is_power_of_two() && config.ways <= 64,
-                "tree pseudo-LRU needs power-of-two associativity ≤ 64"
-            );
-        }
         Tlb {
             entries: vec![EMPTY; config.entries],
-            plru: if policy == ReplacementPolicy::TreeLru {
-                vec![0; n_sets]
-            } else {
-                Vec::new()
-            },
-            policy,
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -120,17 +91,11 @@ impl Tlb {
         }
     }
 
-    /// The replacement policy this TLB was built with.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Serializes the entry array (LRU order included), pseudo-LRU trees,
-    /// and hit/miss/invalidation counters for a checkpoint. Geometry and
-    /// policy are rebuilt from configuration on restore.
+    /// Serializes the entry array (LRU order included) and the
+    /// hit/miss/invalidation counters for a checkpoint. Geometry is rebuilt
+    /// from configuration on restore.
     pub fn save(&self, w: &mut crate::checkpoint::StateWriter) {
         w.put_u64_slice(&self.entries);
-        w.put_u64_slice(&self.plru);
         w.put_u64(self.hits);
         w.put_u64(self.misses);
         w.put_u64(self.invalidations);
@@ -140,14 +105,13 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// Propagates codec errors; rejects arrays that do not match the
-    /// geometry implied by `config`/`policy`.
+    /// Propagates codec errors; rejects an entry array that does not match
+    /// the geometry implied by `config`.
     pub fn restore(
         config: TlbConfig,
-        policy: ReplacementPolicy,
         r: &mut crate::checkpoint::StateReader<'_>,
     ) -> Result<Tlb, crate::checkpoint::CodecError> {
-        let mut tlb = Tlb::with_policy(config, policy);
+        let mut tlb = Tlb::new(config);
         let entries = r.get_u64_vec()?;
         if entries.len() != tlb.entries.len() {
             return Err(crate::checkpoint::CodecError::BadValue {
@@ -155,15 +119,7 @@ impl Tlb {
                 value: entries.len() as u64,
             });
         }
-        let plru = r.get_u64_vec()?;
-        if plru.len() != tlb.plru.len() {
-            return Err(crate::checkpoint::CodecError::BadValue {
-                what: "tlb plru tree count",
-                value: plru.len() as u64,
-            });
-        }
         tlb.entries = entries;
-        tlb.plru = plru;
         tlb.hits = r.get_u64()?;
         tlb.misses = r.get_u64()?;
         tlb.invalidations = r.get_u64()?;
@@ -179,94 +135,48 @@ impl Tlb {
         }
     }
 
-    #[inline]
-    fn levels(&self) -> u32 {
-        self.ways.trailing_zeros()
-    }
-
     /// Looks up `vpn`. On a hit the entry becomes most-recently-used and the
     /// method returns `true`. On a miss it returns `false`; the caller is
     /// expected to walk the page table and then [`Tlb::insert`].
     #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
-        let idx = self.set_index(vpn);
-        let base = idx * self.ways;
-        match self.policy {
-            ReplacementPolicy::ExactLru => {
-                let set = &mut self.entries[base..base + self.ways];
-                for (i, &e) in set.iter().enumerate() {
-                    if e == EMPTY {
-                        break;
-                    }
-                    if e == vpn.0 {
-                        // Move to front: front = most recently used.
-                        set.copy_within(0..i, 1);
-                        set[0] = vpn.0;
-                        self.hits += 1;
-                        return true;
-                    }
-                }
-                self.misses += 1;
-                false
+        let base = self.set_index(vpn) * self.ways;
+        let set = &mut self.entries[base..base + self.ways];
+        for (i, &e) in set.iter().enumerate() {
+            if e == EMPTY {
+                break;
             }
-            ReplacementPolicy::TreeLru => {
-                let levels = self.levels();
-                let set = &self.entries[base..base + self.ways];
-                for (w, &e) in set.iter().enumerate() {
-                    if e == vpn.0 {
-                        plru_touch(&mut self.plru[idx], levels, w);
-                        self.hits += 1;
-                        return true;
-                    }
-                }
-                self.misses += 1;
-                false
+            if e == vpn.0 {
+                // Move to front: front = most recently used.
+                set.copy_within(0..i, 1);
+                set[0] = vpn.0;
+                self.hits += 1;
+                return true;
             }
         }
+        self.misses += 1;
+        false
     }
 
     /// Inserts a translation, evicting the LRU entry of the set if full.
     #[inline]
     pub fn insert(&mut self, vpn: Vpn) {
-        let idx = self.set_index(vpn);
-        let base = idx * self.ways;
-        match self.policy {
-            ReplacementPolicy::ExactLru => {
-                let set = &mut self.entries[base..base + self.ways];
-                let mut len = set.len();
-                for (i, &e) in set.iter().enumerate() {
-                    if e == vpn.0 {
-                        return;
-                    }
-                    if e == EMPTY {
-                        len = i;
-                        break;
-                    }
-                }
-                // Full set: the LRU tail entry is simply shifted off the end.
-                let shift_upto = if len == set.len() { len - 1 } else { len };
-                set.copy_within(0..shift_upto, 1);
-                set[0] = vpn.0;
+        let base = self.set_index(vpn) * self.ways;
+        let set = &mut self.entries[base..base + self.ways];
+        let mut len = set.len();
+        for (i, &e) in set.iter().enumerate() {
+            if e == vpn.0 {
+                return;
             }
-            ReplacementPolicy::TreeLru => {
-                let levels = self.levels();
-                let mut empty_way = None;
-                {
-                    let set = &self.entries[base..base + self.ways];
-                    for (w, &e) in set.iter().enumerate() {
-                        if e == vpn.0 {
-                            return;
-                        }
-                        if e == EMPTY && empty_way.is_none() {
-                            empty_way = Some(w);
-                        }
-                    }
-                }
-                let way = empty_way.unwrap_or_else(|| plru_victim(self.plru[idx], levels));
-                self.entries[base + way] = vpn.0;
-                plru_touch(&mut self.plru[idx], levels, way);
+            if e == EMPTY {
+                len = i;
+                break;
             }
         }
+        // Full set: the LRU tail entry is simply shifted off the end.
+        let shift_upto = if len == set.len() { len - 1 } else { len };
+        set.copy_within(0..shift_upto, 1);
+        set[0] = vpn.0;
     }
 
     /// Invalidates the translation for `vpn`, if cached (a shootdown for one
@@ -275,17 +185,12 @@ impl Tlb {
         let base = self.set_index(vpn) * self.ways;
         let set = &mut self.entries[base..base + self.ways];
         for (i, &e) in set.iter().enumerate() {
-            if e == EMPTY && self.policy == ReplacementPolicy::ExactLru {
+            if e == EMPTY {
                 break;
             }
             if e == vpn.0 {
-                match self.policy {
-                    ReplacementPolicy::ExactLru => {
-                        set.copy_within(i + 1.., i);
-                        set[self.ways - 1] = EMPTY;
-                    }
-                    ReplacementPolicy::TreeLru => set[i] = EMPTY,
-                }
+                set.copy_within(i + 1.., i);
+                set[self.ways - 1] = EMPTY;
                 self.invalidations += 1;
                 return true;
             }
@@ -297,7 +202,6 @@ impl Tlb {
     pub fn flush(&mut self) {
         self.invalidations += self.occupancy() as u64;
         self.entries.fill(EMPTY);
-        self.plru.fill(0);
     }
 
     /// Number of lookup hits so far.
@@ -384,23 +288,6 @@ mod tests {
         assert!(!tlb.lookup(Vpn(0)));
         assert!(tlb.lookup(Vpn(8)));
         assert!(tlb.lookup(Vpn(12)));
-    }
-
-    #[test]
-    fn tree_plru_policy_hits_and_evicts() {
-        let mut tlb = Tlb::with_policy(TlbConfig::tiny(), ReplacementPolicy::TreeLru);
-        assert_eq!(tlb.policy(), ReplacementPolicy::TreeLru);
-        tlb.insert(Vpn(0));
-        tlb.insert(Vpn(4));
-        assert!(tlb.lookup(Vpn(0))); // 4 becomes the pLRU victim
-        tlb.insert(Vpn(8)); // evicts 4
-        assert!(tlb.lookup(Vpn(0)));
-        assert!(tlb.lookup(Vpn(8)));
-        assert!(!tlb.lookup(Vpn(4)));
-        assert!(tlb.invalidate(Vpn(8)));
-        assert_eq!(tlb.occupancy(), 1);
-        tlb.flush();
-        assert_eq!(tlb.occupancy(), 0);
     }
 
     #[test]

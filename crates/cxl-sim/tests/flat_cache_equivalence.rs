@@ -7,12 +7,10 @@
 //! real [`Llc`]/[`Tlb`] and a faithful re-implementation of the pre-flat
 //! nested data structures through identical random operation streams and
 //! demand equality of *every* observable: hit/miss results, writeback
-//! victims, counters, and occupancy. The tree-pLRU opt-in policy is
-//! checked the same way against a nested reference that reuses the same
-//! published tree-bit update rules.
+//! victims, counters, and occupancy.
 
 use cxl_sim::addr::{CacheLineAddr, Vpn};
-use cxl_sim::cache::{Llc, LlcConfig, ReplacementPolicy};
+use cxl_sim::cache::{Llc, LlcConfig};
 use cxl_sim::tlb::{Tlb, TlbConfig};
 use proptest::prelude::*;
 
@@ -182,86 +180,6 @@ impl NestedTlb {
     }
 }
 
-/// Reference tree-pLRU bit rules, matching the flat cache's published
-/// scheme: each internal node's bit points toward the *colder* child;
-/// touching a way flips the bits on its root path away from it.
-fn ref_plru_touch(tree: &mut u64, levels: u32, way: usize) {
-    let mut node = 1usize;
-    for level in (0..levels).rev() {
-        let bit = (way >> level) & 1;
-        if bit == 0 {
-            *tree |= 1 << node;
-        } else {
-            *tree &= !(1 << node);
-        }
-        node = node * 2 + bit;
-    }
-}
-
-fn ref_plru_victim(tree: u64, levels: u32) -> usize {
-    let mut node = 1usize;
-    let mut way = 0usize;
-    for _ in 0..levels {
-        let bit = ((tree >> node) & 1) as usize;
-        way = way * 2 + bit;
-        node = node * 2 + bit;
-    }
-    way
-}
-
-/// A nested-storage tree-pLRU cache: per-set `Vec<Option<(addr, dirty)>>`
-/// plus a tree-bit word, sharing the reference bit rules above.
-struct NestedPlruLlc {
-    sets: Vec<Vec<Option<(u64, bool)>>>,
-    trees: Vec<u64>,
-    levels: u32,
-    writebacks: u64,
-}
-
-impl NestedPlruLlc {
-    fn new(config: LlcConfig) -> NestedPlruLlc {
-        NestedPlruLlc {
-            sets: vec![vec![None; config.ways]; config.sets()],
-            trees: vec![0; config.sets()],
-            levels: config.ways.trailing_zeros(),
-            writebacks: 0,
-        }
-    }
-
-    fn access(&mut self, line: CacheLineAddr, is_write: bool) -> (bool, Option<CacheLineAddr>) {
-        let idx = (line.0 as usize) % self.sets.len();
-        let set = &mut self.sets[idx];
-        let mut empty = None;
-        for (w, e) in set.iter_mut().enumerate() {
-            match e {
-                Some((a, d)) if *a == line.0 => {
-                    *d = *d || is_write;
-                    ref_plru_touch(&mut self.trees[idx], self.levels, w);
-                    return (true, None);
-                }
-                None if empty.is_none() => empty = Some(w),
-                _ => {}
-            }
-        }
-        let (way, wb) = match empty {
-            Some(w) => (w, None),
-            None => {
-                let w = ref_plru_victim(self.trees[idx], self.levels);
-                let (a, d) = set[w].expect("victim resident");
-                if d {
-                    self.writebacks += 1;
-                    (w, Some(CacheLineAddr(a)))
-                } else {
-                    (w, None)
-                }
-            }
-        };
-        set[way] = Some((line.0, is_write));
-        ref_plru_touch(&mut self.trees[idx], self.levels, way);
-        (false, wb)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -345,24 +263,5 @@ proptest! {
         prop_assert_eq!(flat.hits(), nested.hits);
         prop_assert_eq!(flat.misses(), nested.misses);
         prop_assert_eq!(flat.invalidations(), nested.invalidations);
-    }
-
-    /// The opt-in tree-pLRU policy matches a nested-storage reference that
-    /// shares only the published bit-update rules.
-    #[test]
-    fn flat_plru_llc_equals_nested_plru(
-        ops in prop::collection::vec((0u64..192, any::<bool>()), 1..500),
-    ) {
-        let config = LlcConfig { size_bytes: 8192, ways: 4 };
-        let mut flat = Llc::with_policy(config, ReplacementPolicy::TreeLru);
-        let mut nested = NestedPlruLlc::new(config);
-        for (addr, write) in ops {
-            let line = CacheLineAddr(addr);
-            let got = flat.access(line, write);
-            let (hit, wb) = nested.access(line, write);
-            prop_assert_eq!(got.hit, hit, "pLRU hit diverged at {}", addr);
-            prop_assert_eq!(got.writeback, wb, "pLRU writeback diverged at {}", addr);
-        }
-        prop_assert_eq!(flat.writebacks(), nested.writebacks);
     }
 }

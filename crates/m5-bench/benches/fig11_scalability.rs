@@ -9,6 +9,7 @@ use cxl_sim::time::Nanos;
 use cxl_sim::trace::TraceRecord;
 use m5_bench::{access_budget_from_args, banner, epoch_ratio};
 use m5_trackers::topk::CmSketchTopK;
+use m5_workloads::corun::CoRunner;
 use m5_workloads::registry::Benchmark;
 
 const K: usize = 5;
@@ -27,9 +28,9 @@ fn merged_trace(bench: Benchmark, instances: usize, per_instance: u64) -> Vec<Tr
     let handle = sys.attach_device(TraceCapture::with_limit(
         ((per_instance as usize) * instances).min(8_000_000),
     ));
-    // One region and one trace per instance; interleave round-robin like
-    // co-scheduled processes.
-    let mut streams: Vec<_> = (0..instances)
+    // One region and one trace per instance, interleaved round-robin in
+    // 64-access quanta like co-scheduled processes.
+    let streams: Vec<_> = (0..instances)
         .map(|i| {
             let region = sys
                 .alloc_region(spec.footprint_pages, Placement::AllOnCxl)
@@ -37,17 +38,13 @@ fn merged_trace(bench: Benchmark, instances: usize, per_instance: u64) -> Vec<Tr
             spec.build(region.base, per_instance, 20 + i as u64)
         })
         .collect();
-    let mut live = true;
-    while live {
-        live = false;
-        for s in &mut streams {
-            for _ in 0..64 {
-                let Some(a) = s.next_access() else { break };
-                sys.access(a.vaddr, a.is_write);
-                live = true;
-            }
-        }
-    }
+    let mut corun = CoRunner::new(streams, 64);
+    cxl_sim::system::run(
+        &mut sys,
+        &mut corun,
+        &mut cxl_sim::system::NoMigration,
+        u64::MAX,
+    );
     let cap: &TraceCapture = sys.device(handle).expect("capture");
     cap.records().to_vec()
 }

@@ -11,9 +11,7 @@
 //! * [`epoch_ratio`] — the §7.1 trace-driven tracker-precision metric
 //!   (per-query-epoch top-K overlap, weighted by true counts),
 //! * [`collect_trace`] — cache-filtered DRAM trace capture (the Pin +
-//!   Ramulator pipeline stand-in),
-//! * [`results`] — optional machine-readable CSV emission (`--csv DIR`),
-//!   and
+//!   Ramulator pipeline stand-in), and
 //! * table printing helpers shared by every harness.
 
 #![forbid(unsafe_code)]
@@ -23,7 +21,6 @@ pub mod crash_sweep;
 pub mod golden;
 pub mod loaded;
 pub mod parallel;
-pub mod results;
 pub mod soak;
 
 use cxl_sim::prelude::*;

@@ -1,8 +1,7 @@
 //! Deterministic parallel execution of the bench-suite's embarrassingly
-//! parallel work: crash-sweep points, golden workloads, and figure-bench
-//! config grids.
+//! parallel work: crash-sweep points and figure-bench config grids.
 //!
-//! Every sweep point, golden run, and grid cell owns its *entire* world —
+//! Every sweep point and grid cell owns its *entire* world —
 //! a fresh [`cxl_sim::system::System`], workload, and manager built from
 //! an index-addressable spec — so points share no mutable state and can
 //! run on any thread. The only ordering that matters is the order results
@@ -10,12 +9,9 @@
 //! input-index order regardless of OS scheduling. Together those two
 //! properties make the parallel drivers **byte-identical** to their
 //! sequential counterparts: same specs in, same artifact text out
-//! (`tests/crash_sweep.rs` and `tests/golden.rs` assert exactly this).
+//! (`tests/crash_sweep.rs` asserts exactly this).
 
-use crate::crash_sweep::{
-    baseline, run_with_reset, run_with_reset_from_seed, seed_checkpoint, SweepRun, SweepSpec,
-};
-use crate::golden::{render, run_golden, GoldenSpec};
+use crate::crash_sweep::{baseline, run_with_reset, SweepRun, SweepSpec};
 use rayon::prelude::*;
 
 /// Runs `f` over `items` on all available cores, returning results in
@@ -64,30 +60,6 @@ pub fn crash_sweep_sequential(s: &SweepSpec) -> SweepOutcome {
     }
 }
 
-/// Runs one workload's crash sweep seeded from a mid-run checkpoint:
-/// points striking inside the snapshotted prefix (`1..=seed.steps`)
-/// replay the whole workload as usual; points in the tail restore the
-/// snapshot and run only the remainder, halving the sweep's total work
-/// when the seed sits at the midpoint. Byte-identical outcomes to the
-/// unseeded sweep are NOT guaranteed for prefix-overlapping bookkeeping
-/// (the injector arms at restore time, not t=0), but the sweep contract —
-/// reset fires, budget completes, invariants hold — is checked the same.
-pub fn crash_sweep_seeded(s: &SweepSpec, seed_at_accesses: u64) -> SweepOutcome {
-    let base = baseline(s);
-    let seed = seed_checkpoint(s, seed_at_accesses);
-    let points = par_indexed((1..=base.steps).collect(), |at_step| {
-        if at_step > seed.steps {
-            run_with_reset_from_seed(s, &seed, at_step)
-        } else {
-            run_with_reset(s, at_step)
-        }
-    });
-    SweepOutcome {
-        baseline: base,
-        points,
-    }
-}
-
 impl SweepOutcome {
     /// The canonical line-oriented artifact for this sweep: one line per
     /// point with every observable field, suitable for byte comparison
@@ -125,28 +97,6 @@ impl SweepOutcome {
             .map(|r| r.at_step.unwrap_or(0))
             .collect()
     }
-}
-
-/// Runs a set of golden workloads across the thread pool, returning each
-/// one's rendered canonical snapshot text in input order. Each run owns a
-/// fresh `System` + `Telemetry`, so the rendering is identical to calling
-/// [`run_golden`] in a loop.
-pub fn goldens_parallel(specs: &[GoldenSpec]) -> Vec<String> {
-    par_indexed(specs.to_vec(), |g| {
-        let (snap, _) = run_golden(&g, None);
-        render(g.name, &snap)
-    })
-}
-
-/// Sequential reference for [`goldens_parallel`].
-pub fn goldens_sequential(specs: &[GoldenSpec]) -> Vec<String> {
-    specs
-        .iter()
-        .map(|g| {
-            let (snap, _) = run_golden(g, None);
-            render(g.name, &snap)
-        })
-        .collect()
 }
 
 /// One cell of a figure-bench configuration grid: a named configuration

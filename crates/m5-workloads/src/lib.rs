@@ -51,4 +51,3 @@ pub mod kv;
 pub mod liblinear;
 pub mod registry;
 pub mod spec;
-pub mod stats;
