@@ -85,12 +85,6 @@ pub struct Llc {
     writebacks: u64,
 }
 
-#[inline]
-fn pack(addr: CacheLineAddr, dirty: bool) -> u64 {
-    debug_assert!(addr.0 < DIRTY, "line address overflows packed entry");
-    addr.0 | if dirty { DIRTY } else { 0 }
-}
-
 impl Llc {
     /// Builds an empty cache.
     ///
@@ -183,39 +177,44 @@ impl Llc {
     /// the line is allocated, evicting the LRU entry of a full set. Returns
     /// whether the line was resident and the dirty victim to write back;
     /// counts writebacks but not hits or misses.
+    ///
+    /// One pass: the new MRU value goes into way 0 up front and each
+    /// displaced entry is carried one way down as the scan proceeds. A hit
+    /// at way `i` stops the carry there (ways `1..=i` now hold the old
+    /// `0..i`, as a shift would leave them); otherwise the entry carried
+    /// off the end is the LRU victim. Empty ways need no test inside the
+    /// loop: no compare can match one (line addresses stay below
+    /// `ADDR_MASK`), carrying through the empty suffix rewrites `EMPTY`
+    /// over `EMPTY`, and a set that had room carries `EMPTY` off the end.
     #[inline]
     fn touch(&mut self, line: CacheLineAddr, dirty: bool) -> (bool, Option<CacheLineAddr>) {
+        debug_assert!(line.0 < ADDR_MASK, "line address collides with EMPTY");
+        let dirty_bit = if dirty { DIRTY } else { 0 };
         let base = self.set_index(line) * self.ways;
-        let set = &mut self.entries[base..base + self.ways];
-        // Valid entries form a recency-ordered prefix (way 0 = MRU).
-        let mut len = set.len();
-        for (i, &e) in set.iter().enumerate() {
-            if e == EMPTY {
-                len = i;
-                break;
-            }
-            if e & ADDR_MASK == line.0 {
-                let promoted = e | if dirty { DIRTY } else { 0 };
-                set.copy_within(0..i, 1);
-                set[0] = promoted;
+        let (mru, older) = self.entries[base..base + self.ways]
+            .split_first_mut()
+            .expect("a set has at least one way");
+        let mut carried = *mru;
+        if carried & ADDR_MASK == line.0 {
+            *mru = carried | dirty_bit;
+            return (true, None);
+        }
+        *mru = line.0 | dirty_bit;
+        if carried == EMPTY {
+            return (false, None);
+        }
+        for slot in older {
+            carried = std::mem::replace(slot, carried);
+            if carried & ADDR_MASK == line.0 {
+                *mru = carried | dirty_bit;
                 return (true, None);
             }
         }
-        let writeback = if len == set.len() {
-            let victim = set[len - 1];
-            if victim & DIRTY != 0 {
-                self.writebacks += 1;
-                Some(CacheLineAddr(victim & ADDR_MASK))
-            } else {
-                None
-            }
-        } else {
-            len += 1;
-            None
-        };
-        set.copy_within(0..len - 1, 1);
-        set[0] = pack(line, dirty);
-        (false, writeback)
+        if carried == EMPTY || carried & DIRTY == 0 {
+            return (false, None);
+        }
+        self.writebacks += 1;
+        (false, Some(CacheLineAddr(carried & ADDR_MASK)))
     }
 
     /// Invalidates `line` if resident, returning it if it was dirty.

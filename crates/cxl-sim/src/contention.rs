@@ -222,6 +222,16 @@ pub struct LinkWindow {
     pub utilization: f64,
 }
 
+/// Link service time of a `bytes` transfer at full capacity, in ns.
+fn service_ns(p: &LinkParams, bytes: u64, is_write: bool) -> u64 {
+    let base = bytes.saturating_mul(1_000_000_000) / p.peak_bytes_per_sec.max(1);
+    if is_write {
+        base.saturating_mul(p.write_cost_permille) / 1000
+    } else {
+        base
+    }
+}
+
 /// Runtime queue state of one link.
 #[derive(Clone, Debug)]
 struct Link {
@@ -235,6 +245,10 @@ struct Link {
     cur_extra: Nanos,
     /// The utilization `cur_extra` was computed from.
     cur_util: f64,
+    /// Link service ns of one 64 B line read and write, fixed by `p` at
+    /// construction: demand fills and writebacks skip the division.
+    line_read_ns: u64,
+    line_write_ns: u64,
     /// Token-bucket backlog: deposited service ns not yet drained.
     backlog: u64,
     last_drain: Nanos,
@@ -252,6 +266,8 @@ impl Link {
         let cur_util = bg;
         Link {
             bg_permille: (bg * 1000.0) as u64,
+            line_read_ns: service_ns(&p, 64, false),
+            line_write_ns: service_ns(&p, 64, true),
             cur_extra: loaded_extra(unloaded, cur_util, &p),
             cur_util,
             backlog: 0,
@@ -264,17 +280,6 @@ impl Link {
             tot_ns: [0; 3],
             p,
             unloaded,
-        }
-    }
-
-    /// Link service time of a transfer at full capacity, in ns.
-    #[inline]
-    fn service_ns(&self, bytes: u64, is_write: bool) -> u64 {
-        let base = bytes.saturating_mul(1_000_000_000) / self.p.peak_bytes_per_sec.max(1);
-        if is_write {
-            base.saturating_mul(self.p.write_cost_permille) / 1000
-        } else {
-            base
         }
     }
 
@@ -299,12 +304,14 @@ impl Link {
         self.backlog.saturating_sub(drained)
     }
 
-    /// Bills a transfer the current queue delay and deposits its service
-    /// time. Returns the delay the transfer must wait out.
-    fn transfer(&mut self, class: TrafficClass, bytes: u64, is_write: bool, now: Nanos) -> Nanos {
+    /// Bills a `bytes` transfer taking `service` ns of link time the
+    /// current queue delay and deposits its service time. Returns the
+    /// delay the transfer must wait out.
+    #[inline]
+    fn transfer(&mut self, class: TrafficClass, bytes: u64, service: u64, now: Nanos) -> Nanos {
         self.drain(now);
         let delay = self.cur_extra.0 + self.backlog.min(self.p.burst_capacity.0);
-        self.backlog += self.service_ns(bytes, is_write);
+        self.backlog += service;
         let i = class.idx();
         self.win_bytes[i] += bytes;
         self.tot_bytes[i] += bytes;
@@ -317,9 +324,10 @@ impl Link {
     /// A fire-and-forget transfer (asynchronous writeback): consumes link
     /// service — raising the backlog and the window's offered bytes — but
     /// nothing waits on it, so zero delay ns are billed.
-    fn post(&mut self, class: TrafficClass, bytes: u64, is_write: bool, now: Nanos) {
+    #[inline]
+    fn post(&mut self, class: TrafficClass, bytes: u64, service: u64, now: Nanos) {
         self.drain(now);
-        self.backlog += self.service_ns(bytes, is_write);
+        self.backlog += service;
         let i = class.idx();
         self.win_bytes[i] += bytes;
         self.tot_bytes[i] += bytes;
@@ -395,7 +403,8 @@ impl Contention {
     /// demand class.
     #[inline]
     pub fn demand_delay(&mut self, node: NodeId, now: Nanos) -> Nanos {
-        self.links[idx(node)].transfer(TrafficClass::Demand, 64, false, now)
+        let link = &mut self.links[idx(node)];
+        link.transfer(TrafficClass::Demand, 64, link.line_read_ns, now)
     }
 
     /// Accounts an asynchronous 64 B dirty writeback on `node`: consumes
@@ -403,7 +412,8 @@ impl Contention {
     /// delays nothing itself.
     #[inline]
     pub fn writeback(&mut self, node: NodeId, now: Nanos) {
-        self.links[idx(node)].post(TrafficClass::Demand, 64, true, now);
+        let link = &mut self.links[idx(node)];
+        link.post(TrafficClass::Demand, 64, link.line_write_ns, now);
     }
 
     /// Queue delay for a bulk transfer (migration page copy, journal
@@ -418,7 +428,8 @@ impl Contention {
         is_write: bool,
         now: Nanos,
     ) -> Nanos {
-        self.links[idx(node)].transfer(class, bytes, is_write, now)
+        let link = &mut self.links[idx(node)];
+        link.transfer(class, bytes, service_ns(&link.p, bytes, is_write), now)
     }
 
     /// Closes both nodes' accounting windows at `now`, recomputing each
@@ -582,6 +593,41 @@ mod tests {
             wb_backlog > rd_backlog,
             "write service {wb_backlog} <= read service {rd_backlog}"
         );
+    }
+
+    #[test]
+    fn line_transfers_cost_what_a_64_byte_bulk_transfer_costs() {
+        // The precomputed 64 B service times against the general formula,
+        // on both links and on a link whose rate does not divide 64 B·s
+        // evenly.
+        let odd = LinkParams {
+            peak_bytes_per_sec: 3_000_000_007,
+            write_cost_permille: 1_333,
+            ..LinkParams::cxl_default()
+        };
+        let cfg = ContentionConfig {
+            cxl: odd,
+            ..ContentionConfig::enabled_default()
+        };
+        for cfg in [ContentionConfig::enabled_default(), cfg] {
+            for node in NodeId::ALL {
+                let fresh = || Contention::new(&cfg, [Nanos(100), Nanos(270)]);
+                let (mut line, mut bulk) = (fresh(), fresh());
+                line.demand_delay(node, Nanos::ZERO);
+                bulk.bulk_delay(node, TrafficClass::Demand, 64, false, Nanos::ZERO);
+                assert_eq!(
+                    line.queue_ns(node, Nanos::ZERO),
+                    bulk.queue_ns(node, Nanos::ZERO)
+                );
+                let (mut line, mut bulk) = (fresh(), fresh());
+                line.writeback(node, Nanos::ZERO);
+                bulk.bulk_delay(node, TrafficClass::Demand, 64, true, Nanos::ZERO);
+                assert_eq!(
+                    line.queue_ns(node, Nanos::ZERO),
+                    bulk.queue_ns(node, Nanos::ZERO)
+                );
+            }
+        }
     }
 
     #[test]

@@ -502,33 +502,53 @@ impl FaultInjector {
     }
 
     /// Whether the injector has nothing armed, queued, or in flight at
-    /// `now`: no unfired schedule entries, no open latency/stall/pressure
-    /// window, and no pending consumable faults. The `System` uses this to
-    /// skip per-access fault tracing entirely on fault-free runs.
+    /// `now`: no unfired schedule entries, nothing [`idle`] rules out, and
+    /// no armed copy failure, controller reset, or torn checkpoint. Only a
+    /// quiescent injector lets [`poll`] be skipped outright, which is what
+    /// the `System`'s per-access fault service does on fault-free runs.
+    ///
+    /// [`idle`]: FaultInjector::idle
+    /// [`poll`]: FaultInjector::poll
     #[inline]
     pub fn quiescent(&self, now: Nanos) -> bool {
-        self.next >= self.schedule.len()
-            && now >= self.spike_until
-            && now >= self.stall_until
-            && now >= self.pressure_until
-            && self.poison_pending == 0
+        self.idle(now)
+            && self.next >= self.schedule.len()
             && self.copy_fail_pending == 0
             && self.reset_steps.is_empty()
             && self.torn_sections.is_empty()
+    }
+
+    /// Whether nothing a memory access consults or delivers is live at
+    /// `now`: no open latency-spike, stall, or DDR-pressure window, no
+    /// pending poisoned read, and empty device and RAS queues. Unfired
+    /// schedule entries do not count, and neither do armed copy failures,
+    /// controller resets, or torn checkpoints: the migration engine and the
+    /// checkpoint harness consume those outside the access path.
+    ///
+    /// An idle injector stays idle until [`poll`] arms the next schedule
+    /// entry, so up to [`next_scheduled`] every per-access fault query is
+    /// a constant; the batch driver runs that stretch without them.
+    ///
+    /// [`poll`]: FaultInjector::poll
+    /// [`next_scheduled`]: FaultInjector::next_scheduled
+    #[inline]
+    pub fn idle(&self, now: Nanos) -> bool {
+        now >= self.spike_until
+            && now >= self.stall_until
+            && now >= self.pressure_until
+            && self.poison_pending == 0
             && self.device_queue.is_empty()
             && self.ras_queue.is_empty()
     }
 
     /// The trigger time of the earliest scheduled fault [`poll`] has not
-    /// yet armed, or `None` when the schedule is exhausted. Combined with
-    /// [`quiescent`], this bounds how long the injector is *guaranteed* to
-    /// stay quiescent: a quiescent injector cannot open a window, queue a
-    /// device fault, or arm a consumable before this instant, so the batch
-    /// driver hoists every per-access fault check out of its inner loop up
-    /// to it.
+    /// yet armed, or `None` when the schedule is exhausted. An [`idle`]
+    /// injector cannot open a window, queue a device or RAS fault, or arm
+    /// a poisoned read before this instant, so it bounds the stretch the
+    /// batch driver runs without per-access fault checks.
     ///
     /// [`poll`]: FaultInjector::poll
-    /// [`quiescent`]: FaultInjector::quiescent
+    /// [`idle`]: FaultInjector::idle
     #[inline]
     pub fn next_scheduled(&self) -> Option<Nanos> {
         self.schedule.get(self.next).map(|f| f.at)
@@ -982,6 +1002,48 @@ mod tests {
         assert!(!inj.torn_checkpoint_pending());
         assert!(inj.quiescent(Nanos(25)));
         assert_eq!(inj.count_of(FaultClass::TornCheckpoint), 2);
+    }
+
+    #[test]
+    fn idle_ignores_faults_consumed_outside_the_access_path() {
+        let plan = FaultPlan::none()
+            .with(Nanos(10), FaultKind::MigrationCopyFail { attempts: 1 })
+            .with(Nanos(10), FaultKind::ControllerReset { at_step: 3 })
+            .with(Nanos(10), FaultKind::TornCheckpoint { at_section: 1 })
+            .with(Nanos(30), FaultKind::PoisonLine { reads: 1 })
+            .with(
+                Nanos(50),
+                FaultKind::LatencySpike {
+                    extra: Nanos(5),
+                    duration: Nanos(10),
+                },
+            )
+            .with(
+                Nanos(70),
+                FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 1 }),
+            );
+        let mut inj = FaultInjector::from_plan(&plan);
+        assert!(inj.idle(Nanos(0)) && !inj.quiescent(Nanos(0)));
+        assert_eq!(inj.next_scheduled(), Some(Nanos(10)));
+        inj.poll(Nanos(10));
+        assert!(
+            inj.idle(Nanos(10)),
+            "copy-fail/reset/torn stay off the access path"
+        );
+        assert!(!inj.quiescent(Nanos(10)));
+        assert_eq!(inj.next_scheduled(), Some(Nanos(30)));
+        inj.poll(Nanos(30));
+        assert!(!inj.idle(Nanos(30)), "a pending poisoned read is live");
+        assert!(inj.take_poisoned_read());
+        assert!(inj.idle(Nanos(30)));
+        inj.poll(Nanos(50));
+        assert!(!inj.idle(Nanos(59)), "inside the spike window");
+        assert!(inj.idle(Nanos(60)));
+        inj.poll(Nanos(70));
+        assert!(!inj.idle(Nanos(70)), "a queued RAS fault awaits delivery");
+        assert!(inj.pop_ras_fault().is_some());
+        assert!(inj.idle(Nanos(70)));
+        assert_eq!(inj.next_scheduled(), None);
     }
 
     #[test]

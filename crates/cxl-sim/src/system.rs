@@ -727,12 +727,14 @@ impl System {
     /// The access pipeline proper: paging, TLB, LLC, DRAM, telemetry.
     ///
     /// `faults_active = false` is the batch fast path: the caller has
-    /// proven the injector quiescent up to a horizon (no stall window, no
+    /// proven the injector idle up to a horizon (no stall window, no
     /// latency spike, no pending poison), so the per-access fault queries
-    /// compile down to constants. With a quiescent injector both variants
-    /// are exactly equivalent — `controller_stalled` is false,
+    /// compile down to constants. With an idle injector both variants are
+    /// exactly equivalent — `controller_stalled` is false,
     /// `cxl_extra_latency` is zero, `take_poisoned_read` is false — which
-    /// keeps the chunked driver byte-identical to the per-access loop.
+    /// keeps the chunked driver byte-identical to the per-access loop. A
+    /// degraded link is RAS state, not an injector query, so both variants
+    /// charge it.
     #[inline]
     fn access_core(
         &mut self,
@@ -764,10 +766,9 @@ impl System {
             flags = flags.with_present();
         }
 
-        if !self.tlb.lookup(vpn) {
+        if !self.tlb.access(vpn) {
             latency += costs.page_walk;
             flags = flags.with_accessed();
-            self.tlb.insert(vpn);
         }
 
         if is_write {
@@ -801,15 +802,17 @@ impl System {
                 }
             }
             if node == NodeId::Cxl {
+                if !self.ras.quiescent() {
+                    // Degraded-link penalty scales with the nominal node
+                    // latency (a retrained link slows every fill). It is
+                    // RAS state, not an injector window, so quiet segments
+                    // pay it too.
+                    latency += self
+                        .ras
+                        .extra_latency(node, self.memory.node(node).access_latency());
+                }
                 if faults_active {
                     latency += self.faults.cxl_extra_latency(now);
-                    if !self.ras.quiescent() {
-                        // Degraded-link penalty scales with the nominal
-                        // node latency (a retrained link slows every fill).
-                        latency += self
-                            .ras
-                            .extra_latency(node, self.memory.node(node).access_latency());
-                    }
                     if self.faults.take_poisoned_read() {
                         // Uncorrectable ECC on the fill: the kernel's
                         // memory-failure path isolates the line, re-fetches,
@@ -904,9 +907,9 @@ impl System {
     /// periodic TLB flush, and the fault injector's next scheduled event —
     /// once, and runs bare unchecked accesses up to it.
     /// Accesses at or past a boundary, or made while the injector is not
-    /// quiescent, take the fully-checked [`System::try_access`] path one at
-    /// a time, so the observable behaviour is identical to calling
-    /// [`System::access`] in a loop.
+    /// [idle](crate::faults::FaultInjector::idle), take the fully-checked
+    /// [`System::try_access`] path one at a time, so the observable
+    /// behaviour is identical to calling [`System::access`] in a loop.
     ///
     /// Sequencing contract (mirrors the per-access [`run`] loop):
     ///
@@ -952,14 +955,15 @@ impl System {
                 if executed && deadline.is_some_and(|d| now >= d) {
                     return (idx, BatchPause::Wake);
                 }
-                // Quiet segment: while the injector is provably quiescent
-                // and no flush or wake boundary has been reached,
+                // Quiet segment: while the injector is idle, every armed
+                // fault has been traced, and neither the next scheduled
+                // fault nor a flush or wake boundary has been reached,
                 // `service_faults`, the flush-interval check, and the
                 // per-access fault queries are all no-ops. The horizon is
                 // never past `deadline`, so no wake check is due inside it.
-                let quiet = self.faults.quiescent(now)
-                    && self.ras.quiescent()
-                    && self.fault_events_seen == self.faults.log().len()
+                // Untraced fault events only matter with telemetry on.
+                let quiet = self.faults.idle(now)
+                    && (!self.telemetry_on || self.fault_events_seen == self.faults.log().len())
                     && self.spike_span.is_none()
                     && self.stall_span.is_none()
                     && self.pressure_span.is_none();
@@ -980,6 +984,7 @@ impl System {
             let out = if now < quiet_until {
                 self.access_core(vaddr, word_is_write(w), false)
             } else {
+                st.checked += 1;
                 self.try_access(vaddr, word_is_write(w))
             }
             .unwrap_or_else(|e| panic!("{e}"));
@@ -2394,6 +2399,10 @@ pub struct BatchState {
     op_telemetry: m5_telemetry::Log2Histogram,
     op_start: Nanos,
     n: u64,
+    /// Accesses that took the fully-checked `try_access` path rather than
+    /// a quiet segment. A diagnostic for tests: not checkpointed, so it
+    /// restarts from zero on restore.
+    checked: u64,
 }
 
 impl BatchState {
@@ -2405,6 +2414,7 @@ impl BatchState {
             op_telemetry: m5_telemetry::Log2Histogram::new(),
             op_start: start,
             n: 0,
+            checked: 0,
         }
     }
 
@@ -2443,6 +2453,7 @@ impl BatchState {
             op_telemetry: crate::checkpoint::restore_log2_histogram(r)?,
             op_start: Nanos(r.get_u64()?),
             n: r.get_u64()?,
+            checked: 0,
         })
     }
 }
@@ -2477,6 +2488,13 @@ impl ChunkedRun {
     /// Accesses executed so far.
     pub fn accesses(&self) -> u64 {
         self.st.n
+    }
+
+    /// Accesses executed outside a quiet segment, through the per-access
+    /// fault and flush checks of [`System::try_access`]. Restarts from
+    /// zero on [`ChunkedRun::resume`].
+    pub fn checked_accesses(&self) -> u64 {
+        self.st.checked
     }
 
     /// Executes one chunk to completion (or until the budget is hit),

@@ -135,48 +135,40 @@ impl Tlb {
         }
     }
 
-    /// Looks up `vpn`. On a hit the entry becomes most-recently-used and the
-    /// method returns `true`. On a miss it returns `false`; the caller is
-    /// expected to walk the page table and then [`Tlb::insert`].
+    /// Translates `vpn`: the probe and, on a miss, the fill after the page
+    /// walk, in one pass over the set. Returns whether the translation was
+    /// cached; either way `vpn` leaves as the set's MRU entry, and a miss
+    /// on a full set evicts its LRU entry.
+    ///
+    /// `vpn` goes into way 0 up front and each displaced entry is carried
+    /// one way down as the scan proceeds. A hit at way `i` stops the carry
+    /// there; otherwise the entry carried off the end is the evicted one.
+    /// Empty ways need no test inside the loop: no VPN equals `EMPTY`, and
+    /// carrying through the empty suffix rewrites `EMPTY` over `EMPTY`.
     #[inline]
-    pub fn lookup(&mut self, vpn: Vpn) -> bool {
+    pub fn access(&mut self, vpn: Vpn) -> bool {
+        debug_assert_ne!(vpn.0, EMPTY, "VPN collides with EMPTY");
         let base = self.set_index(vpn) * self.ways;
-        let set = &mut self.entries[base..base + self.ways];
-        for (i, &e) in set.iter().enumerate() {
-            if e == EMPTY {
-                break;
-            }
-            if e == vpn.0 {
-                // Move to front: front = most recently used.
-                set.copy_within(0..i, 1);
-                set[0] = vpn.0;
-                self.hits += 1;
-                return true;
+        let (mru, older) = self.entries[base..base + self.ways]
+            .split_first_mut()
+            .expect("a set has at least one way");
+        let mut carried = *mru;
+        if carried == vpn.0 {
+            self.hits += 1;
+            return true;
+        }
+        *mru = vpn.0;
+        if carried != EMPTY {
+            for slot in older {
+                carried = std::mem::replace(slot, carried);
+                if carried == vpn.0 {
+                    self.hits += 1;
+                    return true;
+                }
             }
         }
         self.misses += 1;
         false
-    }
-
-    /// Inserts a translation, evicting the LRU entry of the set if full.
-    #[inline]
-    pub fn insert(&mut self, vpn: Vpn) {
-        let base = self.set_index(vpn) * self.ways;
-        let set = &mut self.entries[base..base + self.ways];
-        let mut len = set.len();
-        for (i, &e) in set.iter().enumerate() {
-            if e == vpn.0 {
-                return;
-            }
-            if e == EMPTY {
-                len = i;
-                break;
-            }
-        }
-        // Full set: the LRU tail entry is simply shifted off the end.
-        let shift_upto = if len == set.len() { len - 1 } else { len };
-        set.copy_within(0..shift_upto, 1);
-        set[0] = vpn.0;
     }
 
     /// Invalidates the translation for `vpn`, if cached (a shootdown for one
@@ -204,12 +196,12 @@ impl Tlb {
         self.entries.fill(EMPTY);
     }
 
-    /// Number of lookup hits so far.
+    /// Number of translation hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of lookup misses so far.
+    /// Number of translation misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -232,9 +224,8 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut tlb = Tlb::new(TlbConfig::tiny());
-        assert!(!tlb.lookup(Vpn(1)));
-        tlb.insert(Vpn(1));
-        assert!(tlb.lookup(Vpn(1)));
+        assert!(!tlb.access(Vpn(1)));
+        assert!(tlb.access(Vpn(1)));
         assert_eq!(tlb.hits(), 1);
         assert_eq!(tlb.misses(), 1);
     }
@@ -243,51 +234,64 @@ mod tests {
     fn lru_eviction_within_set() {
         // tiny: 8 entries, 2 ways -> 4 sets. VPNs 0, 4, 8 all map to set 0.
         let mut tlb = Tlb::new(TlbConfig::tiny());
-        tlb.insert(Vpn(0));
-        tlb.insert(Vpn(4));
-        assert!(tlb.lookup(Vpn(0))); // 0 becomes MRU; 4 is LRU
-        tlb.insert(Vpn(8)); // evicts 4
-        assert!(tlb.lookup(Vpn(0)));
-        assert!(tlb.lookup(Vpn(8)));
-        assert!(!tlb.lookup(Vpn(4)), "LRU way was evicted");
+        tlb.access(Vpn(0));
+        tlb.access(Vpn(4));
+        assert!(tlb.access(Vpn(0))); // 0 becomes MRU; 4 is LRU
+        assert!(!tlb.access(Vpn(8))); // evicts 4
+        assert!(tlb.access(Vpn(0)));
+        assert!(tlb.access(Vpn(8)));
+        assert!(!tlb.access(Vpn(4)), "LRU way was evicted");
     }
 
     #[test]
     fn invalidate_and_flush() {
         let mut tlb = Tlb::new(TlbConfig::tiny());
-        tlb.insert(Vpn(1));
-        tlb.insert(Vpn(2));
+        tlb.access(Vpn(1));
+        tlb.access(Vpn(2));
         assert!(tlb.invalidate(Vpn(1)));
         assert!(!tlb.invalidate(Vpn(1)));
-        assert!(!tlb.lookup(Vpn(1)));
+        assert!(!tlb.access(Vpn(1)));
         tlb.flush();
         assert_eq!(tlb.occupancy(), 0);
-        assert!(!tlb.lookup(Vpn(2)));
-        assert_eq!(tlb.invalidations(), 2);
+        assert!(!tlb.access(Vpn(2)));
+        // One shootdown plus the two entries the flush dropped.
+        assert_eq!(tlb.invalidations(), 3);
     }
 
     #[test]
-    fn duplicate_insert_is_idempotent() {
+    fn repeated_access_is_idempotent() {
         let mut tlb = Tlb::new(TlbConfig::tiny());
-        tlb.insert(Vpn(3));
-        tlb.insert(Vpn(3));
+        assert!(!tlb.access(Vpn(3)));
+        assert!(tlb.access(Vpn(3)));
         assert_eq!(tlb.occupancy(), 1);
     }
 
     #[test]
     fn invalidate_middle_entry_keeps_order() {
-        // Set 0 holds {8 (MRU), 4, 0 (LRU)} in a 4-way set... tiny is
-        // 2-way, so use {4 (MRU), 0 (LRU)}, drop the MRU, insert two more
-        // and check the survivor ages out correctly.
+        // Set 0 holds {4 (MRU), 0 (LRU)}; drop the MRU, fill two more and
+        // check the survivor ages out first.
         let mut tlb = Tlb::new(TlbConfig::tiny());
-        tlb.insert(Vpn(0));
-        tlb.insert(Vpn(4));
+        tlb.access(Vpn(0));
+        tlb.access(Vpn(4));
         assert!(tlb.invalidate(Vpn(4)));
-        tlb.insert(Vpn(8)); // set now {8 (MRU), 0}
-        tlb.insert(Vpn(12)); // evicts 0 (LRU)
-        assert!(!tlb.lookup(Vpn(0)));
-        assert!(tlb.lookup(Vpn(8)));
-        assert!(tlb.lookup(Vpn(12)));
+        tlb.access(Vpn(8)); // set now {8 (MRU), 0}
+        tlb.access(Vpn(12)); // evicts 0 (LRU)
+        assert!(tlb.access(Vpn(8)));
+        assert!(tlb.access(Vpn(12)));
+        assert!(!tlb.access(Vpn(0)));
+    }
+
+    #[test]
+    fn single_way_sets_replace_on_every_miss() {
+        let mut tlb = Tlb::new(TlbConfig {
+            entries: 4,
+            ways: 1,
+        });
+        assert!(!tlb.access(Vpn(1)));
+        assert!(!tlb.access(Vpn(5))); // same set: evicts 1
+        assert!(tlb.access(Vpn(5)));
+        assert!(!tlb.access(Vpn(1)));
+        assert_eq!(tlb.occupancy(), 1);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property net for the chunked driver's quiet loop: on *random* access
 //! streams — not just the golden workloads — `run_chunked`, which runs
 //! bare `access_core` calls up to each boundary while the injector is
-//! quiescent, must stay byte-identical to the `run_per_access` oracle.
-//! Three properties:
+//! idle, must stay byte-identical to the `run_per_access` oracle.
+//! Four properties:
 //!
 //! * with fault windows active, the contention model enabled, and the M5
 //!   manager or the hinting-fault heavy ANB daemon, so quiet segments are
 //!   short and cut by wakes, faults, and flushes;
 //! * with no boundary at all (no daemon wake, no TLB flush, no fault
 //!   plan), so a whole chunk runs as one quiet segment;
+//! * with RAS faults recorded and a fault still scheduled past the run's
+//!   end, where the quiet window is bounded by the next scheduled fault
+//!   and all but a handful of accesses stay off the checked path;
 //! * a mid-chunk checkpoint/restore split lands on the exact same final
 //!   state as the run that never stopped.
 //!
@@ -18,7 +21,7 @@
 //! capacities that misalign with the quiet segments, and split points
 //! that cut a chunk (and the quiet segment inside it) anywhere.
 
-use cxl_sim::faults::{FaultKind, FaultPlan};
+use cxl_sim::faults::{DeviceFault, FaultKind, FaultPlan};
 use cxl_sim::prelude::*;
 use cxl_sim::system::{run_chunked, run_per_access, NoMigration, Region};
 use m5_baselines::anb::{Anb, AnbConfig};
@@ -52,6 +55,26 @@ fn active_plan() -> FaultPlan {
             FaultKind::DdrPressure {
                 duration: Nanos::from_micros(4),
             },
+        )
+}
+
+/// A plan that records a correctable error and a link degrade early,
+/// poisons two reads mid-run, and keeps one fault scheduled long after the
+/// run ends, so the schedule is never exhausted.
+fn ras_plan() -> FaultPlan {
+    FaultPlan::none()
+        .with(
+            Nanos::from_micros(2),
+            FaultKind::Device(DeviceFault::CorrectableEcc { pfn: 5 }),
+        )
+        .with(
+            Nanos::from_micros(4),
+            FaultKind::Device(DeviceFault::LinkDegrade { factor: 150 }),
+        )
+        .with(Nanos::from_micros(100), FaultKind::PoisonLine { reads: 2 })
+        .with(
+            Nanos::from_millis(10_000),
+            FaultKind::MigrationCopyFail { attempts: 1 },
         )
 }
 
@@ -177,6 +200,61 @@ proptest! {
             };
             prop_assert_eq!(report.accesses, accesses);
             prop_assert_eq!(report.hinting_faults, 0, "a hinting fault would end the segment");
+            snapshot(&mut sys, &report)
+        };
+
+        let oracle = observe(None);
+        for cap in [1usize, 7, 509, 4096] {
+            let chunked = observe(Some(cap));
+            prop_assert_eq!(&oracle.1, &chunked.1, "report diverged (cap={})", cap);
+            prop_assert_eq!(&oracle.0, &chunked.0, "telemetry diverged (cap={})", cap);
+        }
+    }
+
+    /// Chunked ≡ per-access oracle while the RAS layer carries a
+    /// correctable error and a degraded link and the injector still has a
+    /// fault scheduled: the quiet window is "idle injector, bounded by the
+    /// next scheduled fault", so fewer than 1 % of accesses take the
+    /// checked path. Telemetry on and off (untraced fault events only
+    /// hold the quiet window closed when telemetry is on).
+    #[test]
+    fn scheduled_faults_keep_the_quiet_window_open(
+        ops in prop::collection::vec(
+            (any::<u64>(), prop::bool::weighted(0.3), prop::bool::weighted(0.05)),
+            4096..6000,
+        ),
+        pages in 8u64..48,
+        telemetry in any::<bool>(),
+    ) {
+        let plan = ras_plan();
+        let accesses = ops.len() as u64;
+        let observe = |cap: Option<usize>| {
+            let mut config = contended_config(pages);
+            config.tlb_flush_interval = None;
+            let (mut sys, region) = boot(config, pages, &plan);
+            if telemetry {
+                sys.install_telemetry(Telemetry::enabled());
+            }
+            let mut wl = replay(&ops, pages, &region);
+            let report = match cap {
+                None => run_per_access(&mut sys, &mut wl, &mut NoMigration, accesses),
+                Some(cap) => {
+                    let mut run = ChunkedRun::begin(&mut sys, &mut NoMigration);
+                    let mut chunk = AccessChunk::with_capacity(cap);
+                    while run.step(&mut sys, &mut wl, &mut NoMigration, &mut chunk, accesses) {}
+                    let checked = run.checked_accesses();
+                    prop_assert!(
+                        checked * 100 < accesses,
+                        "{} of {} accesses checked (cap={})", checked, accesses, cap
+                    );
+                    run.finish(&mut sys, &NoMigration)
+                }
+            };
+            prop_assert_eq!(report.accesses, accesses);
+            let inj = sys.fault_injector();
+            prop_assert_eq!(inj.injected_total(), 3, "CE, link degrade and poison armed");
+            prop_assert!(inj.next_scheduled().is_some(), "schedule not exhausted");
+            prop_assert!(!sys.ras().quiescent());
             snapshot(&mut sys, &report)
         };
 

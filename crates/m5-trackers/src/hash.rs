@@ -52,9 +52,25 @@ impl HashFamily {
     /// Hashes `key` with function `row` into the range `0..bound`.
     #[inline]
     pub fn bucket(&self, row: usize, key: u64, bound: usize) -> usize {
-        // Multiply-high range reduction: unbiased enough and division-free.
-        ((self.hash(row, key) as u128 * bound as u128) >> 64) as usize
+        reduce(self.hash(row, key), bound)
     }
+
+    /// `key`'s bucket in `0..bound` under every function, in row order:
+    /// `bucket(r, key, bound)` for each row `r`, without re-indexing the
+    /// seed vector per row.
+    #[inline]
+    pub fn buckets(&self, key: u64, bound: usize) -> impl Iterator<Item = usize> + '_ {
+        self.seeds
+            .iter()
+            .map(move |&seed| reduce(mix64(key ^ seed), bound))
+    }
+}
+
+/// Multiply-high range reduction of `h` into `0..bound`: unbiased enough
+/// and division-free.
+#[inline]
+fn reduce(h: u64, bound: usize) -> usize {
+    ((h as u128 * bound as u128) >> 64) as usize
 }
 
 #[cfg(test)]
@@ -95,6 +111,18 @@ mod tests {
         let mean = 10_000 / bound as u32;
         for (i, &c) in seen.iter().enumerate() {
             assert!(c > mean / 3 && c < mean * 3, "bucket {i} has {c}");
+        }
+    }
+
+    #[test]
+    fn buckets_match_per_row_bucket() {
+        let f = HashFamily::new(5, 11);
+        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
+            for bound in [1usize, 7, 4096] {
+                let all: Vec<usize> = f.buckets(key, bound).collect();
+                let each: Vec<usize> = (0..5).map(|r| f.bucket(r, key, bound)).collect();
+                assert_eq!(all, each, "key {key} bound {bound}");
+            }
         }
     }
 

@@ -74,23 +74,27 @@ impl CmSketch {
     pub fn update(&mut self, key: u64) -> u64 {
         self.updates += 1;
         let mut min = u32::MAX;
-        for r in 0..self.rows {
-            let idx = r * self.width + self.hashes.bucket(r, key, self.width);
-            let c = self.counters[idx].saturating_add(1);
-            self.counters[idx] = c;
-            min = min.min(c);
+        let width = self.width;
+        // Row `r` starts at `r × width`. Indexing by that offset rather than
+        // through `chunks_exact_mut(width)` keeps a division by `width` out
+        // of every update.
+        for (start, b) in (0..).step_by(width).zip(self.hashes.buckets(key, width)) {
+            let c = &mut self.counters[start + b];
+            *c = c.saturating_add(1);
+            min = min.min(*c);
         }
         min as u64
     }
 
     /// The current estimate for `key` without updating.
     pub fn estimate(&self, key: u64) -> u64 {
-        let mut min = u32::MAX;
-        for r in 0..self.rows {
-            let idx = r * self.width + self.hashes.bucket(r, key, self.width);
-            min = min.min(self.counters[idx]);
-        }
-        min as u64
+        let width = self.width;
+        (0..)
+            .step_by(width)
+            .zip(self.hashes.buckets(key, width))
+            .map(|(start, b)| self.counters[start + b])
+            .min()
+            .unwrap_or(u32::MAX) as u64
     }
 
     /// Clears every counter (done after each top-K query epoch, §5.1).
